@@ -181,11 +181,11 @@ func BenchmarkAblationHybridVsSingle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		agent, err := core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+		hybridScheme, err := core.MDPScheme(model, nil, cfg.Channels, cfg.SweepWidth)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hybrid = evalScheme(b, cfg, agent, 4000)
+		hybrid = evalScheme(b, cfg, hybridScheme.NewAgent(), 4000)
 
 		// FH-only: a single (minimum) power level.
 		fhCfg := cfg
@@ -194,11 +194,11 @@ func BenchmarkAblationHybridVsSingle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fhAgent, err := core.NewMDPAgent(fhModel, nil, fhCfg.Channels, fhCfg.SweepWidth)
+		fhScheme, err := core.MDPScheme(fhModel, nil, fhCfg.Channels, fhCfg.SweepWidth)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fhOnly = evalScheme(b, fhCfg, fhAgent, 4000)
+		fhOnly = evalScheme(b, fhCfg, fhScheme.NewAgent(), 4000)
 
 		// PC-only: stay put at maximum power.
 		pcOnly = evalScheme(b, cfg, stayMaxPower{powers: len(cfg.TxPowers)}, 4000)

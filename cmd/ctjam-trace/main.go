@@ -21,6 +21,7 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/ids"
 	"ctjam/internal/jammer"
+	"ctjam/internal/policy"
 )
 
 func main() {
@@ -54,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown jammer mode %q", *mode)
 	}
 
-	agent, err := buildAgent(*scheme, cfg)
+	sch, err := buildScheme(*scheme, cfg)
 	if err != nil {
 		return err
 	}
@@ -62,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	counters, records, err := env.RunTrace(e, agent, *slots)
+	counters, records, err := env.RunTrace(e, sch.NewAgent(), *slots)
 	if err != nil {
 		return err
 	}
@@ -103,21 +104,24 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-func buildAgent(scheme string, cfg env.Config) (env.Agent, error) {
-	switch scheme {
-	case "mdp":
+// baselineTags maps the -scheme names of the baselines to their policy tags.
+var baselineTags = map[string]string{
+	"passive": policy.BaselinePassive,
+	"random":  policy.BaselineRandom,
+	"static":  policy.BaselineStatic,
+}
+
+func buildScheme(scheme string, cfg env.Config) (*policy.Scheme, error) {
+	if scheme == "mdp" {
 		model, err := core.NewModel(core.ParamsFromEnv(cfg))
 		if err != nil {
 			return nil, err
 		}
-		return core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
-	case "passive":
-		return core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
-	case "random":
-		return core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	case "static":
-		return core.Static{}, nil
-	default:
+		return core.MDPScheme(model, nil, cfg.Channels, cfg.SweepWidth)
+	}
+	tag, ok := baselineTags[scheme]
+	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q", scheme)
 	}
+	return policy.Baseline(tag, cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
 }

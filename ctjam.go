@@ -186,8 +186,11 @@ type Metrics struct {
 
 // Policy is a trained (or solved) anti-jamming policy.
 type Policy struct {
-	agent env.Agent
-	dqn   *core.DQNAgent // non-nil when the policy is a trained DQN
+	// scheme snapshots the policy's current parameters as an immutable
+	// batched scheme. Every evaluation drives its own agents of it, so one
+	// Policy may be evaluated from any number of goroutines at once.
+	scheme func() (*pol.Scheme, error)
+	dqn    *core.DQNAgent // non-nil when the policy is a trained DQN
 }
 
 // TrainDQN trains the paper's DQN scheme online in the configured
@@ -350,7 +353,7 @@ func TrainDQNWithOptions(cfg Config, trainSlots int, opts TrainOptions) (*Policy
 	if _, err := agent.TrainRange(e, start, end, hook); err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent, dqn: agent}, nil
+	return &Policy{scheme: agent.Scheme, dqn: agent}, nil
 }
 
 // TrainQLearning trains the tabular Q-learning baseline over the MDP's
@@ -375,7 +378,7 @@ func TrainQLearning(cfg Config, trainSlots int) (*Policy, error) {
 	if _, err := agent.Train(e, trainSlots); err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent}, nil
+	return &Policy{scheme: agent.Scheme}, nil
 }
 
 // SolveMDP computes the exact optimal policy by value iteration on the
@@ -389,11 +392,11 @@ func SolveMDP(cfg Config) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	agent, err := core.NewMDPAgent(model, nil, ecfg.Channels, ecfg.SweepWidth)
+	s, err := core.MDPScheme(model, nil, ecfg.Channels, ecfg.SweepWidth)
 	if err != nil {
 		return nil, err
 	}
-	return &Policy{agent: agent}, nil
+	return &Policy{scheme: func() (*pol.Scheme, error) { return s, nil }}, nil
 }
 
 // Save writes a trained DQN policy's network to w. Only DQN policies are
@@ -422,23 +425,30 @@ func (p *Policy) ParamCount() int {
 	return p.dqn.Network().ParamCount()
 }
 
-// agentFor builds the agent for a scheme.
-func agentFor(scheme Scheme, policy *Policy, ecfg env.Config) (env.Agent, error) {
+// baselineTags maps the baseline Scheme names to their policy tags.
+var baselineTags = map[Scheme]string{
+	SchemePassive: pol.BaselinePassive,
+	SchemeRandom:  pol.BaselineRandom,
+	SchemeStatic:  pol.BaselineStatic,
+}
+
+// schemeFor builds the shared batched inference scheme for a Scheme name.
+// Policy-backed schemes snapshot the policy's current parameters: further
+// training or loading does not affect the returned scheme. Callers drive
+// fresh scheme.NewAgent() or NewBatch adapters, never shared mutable state.
+func schemeFor(scheme Scheme, policy *Policy, ecfg env.Config) (*pol.Scheme, error) {
 	switch scheme {
 	case SchemeRL, SchemeMDP, SchemeQLearning:
 		if policy == nil {
 			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainDQN, SolveMDP or TrainQLearning)", scheme)
 		}
-		return policy.agent, nil
-	case SchemePassive:
-		return core.NewPassiveFH(ecfg.Channels, ecfg.SweepWidth)
-	case SchemeRandom:
-		return core.NewRandomFH(ecfg.Channels, ecfg.SweepWidth, len(ecfg.TxPowers))
-	case SchemeStatic:
-		return core.Static{}, nil
-	default:
+		return policy.scheme()
+	}
+	tag, ok := baselineTags[scheme]
+	if !ok {
 		return nil, fmt.Errorf("ctjam: unknown scheme %q", scheme)
 	}
+	return pol.Baseline(tag, ecfg.Channels, ecfg.SweepWidth, len(ecfg.TxPowers))
 }
 
 // Evaluate runs a scheme for the given number of slots and reports the
@@ -449,7 +459,7 @@ func Evaluate(cfg Config, scheme Scheme, policy *Policy, slots int) (Metrics, er
 	if err != nil {
 		return Metrics{}, err
 	}
-	agent, err := agentFor(scheme, policy, ecfg)
+	s, err := schemeFor(scheme, policy, ecfg)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -457,7 +467,7 @@ func Evaluate(cfg Config, scheme Scheme, policy *Policy, slots int) (Metrics, er
 	if err != nil {
 		return Metrics{}, err
 	}
-	c, err := env.Run(e, agent, slots)
+	c, err := env.Run(e, s.NewAgent(), slots)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -465,46 +475,6 @@ func Evaluate(cfg Config, scheme Scheme, policy *Policy, slots int) (Metrics, er
 		ST: c.ST(), AH: c.AH(), SH: c.SH(), AP: c.AP(), SP: c.SP(),
 		JamRate: c.JamRate(), Slots: c.Slots,
 	}, nil
-}
-
-// schemeFor builds the shared batched inference scheme for a Scheme name —
-// the policy/encoder split behind EvaluateBatch and ctjam-serve. Trained
-// schemes snapshot their current parameters: further training of the source
-// policy does not affect the returned scheme.
-func schemeFor(scheme Scheme, policy *Policy, ecfg env.Config) (*pol.Scheme, error) {
-	switch scheme {
-	case SchemeRL:
-		if policy == nil || policy.dqn == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a DQN policy (TrainDQN)", scheme)
-		}
-		return policy.dqn.Scheme()
-	case SchemeMDP:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (SolveMDP)", scheme)
-		}
-		a, ok := policy.agent.(*core.MDPAgent)
-		if !ok {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy from SolveMDP", scheme)
-		}
-		return a.Scheme(), nil
-	case SchemeQLearning:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainQLearning)", scheme)
-		}
-		a, ok := policy.agent.(*core.QAgent)
-		if !ok {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy from TrainQLearning", scheme)
-		}
-		return a.Scheme()
-	case SchemePassive:
-		return pol.PassiveFHScheme(ecfg.Channels, ecfg.SweepWidth, core.DefaultJamThreshold)
-	case SchemeRandom:
-		return pol.RandomFHScheme(ecfg.Channels, ecfg.SweepWidth, len(ecfg.TxPowers))
-	case SchemeStatic:
-		return pol.StaticScheme(), nil
-	default:
-		return nil, fmt.Errorf("ctjam: unknown scheme %q", scheme)
-	}
 }
 
 // EvaluateBatch evaluates one scheme across k independent environments in
@@ -615,13 +585,60 @@ type FieldOptions struct {
 }
 
 // FieldCompare runs the named schemes (plus a no-jammer reference when
-// includeNoJammer is set) through the discrete-event field simulator,
-// reproducing the Fig. 11(a) comparison.
+// includeNoJammer is set) through a 1-cluster field engine — the paper's
+// single star network — reproducing the Fig. 11(a) comparison.
 func FieldCompare(cfg Config, schemes []Scheme, policy *Policy, opts FieldOptions, includeNoJammer bool) ([]FieldResult, error) {
 	ecfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
 	}
+	icfg, slots := fieldConfig(cfg, ecfg, FieldScaleOptions{
+		NodesPerCluster: opts.Nodes,
+		SlotDuration:    opts.SlotDuration,
+		JammerSlot:      opts.JammerSlot,
+		Slots:           opts.Slots,
+		UseCSMA:         opts.UseCSMA,
+	})
+	var out []FieldResult
+	run := func(name Scheme, icfg iot.Config, s *pol.Scheme) error {
+		st, err := runField(icfg, 1, 1, s, slots)
+		if err != nil {
+			return fmt.Errorf("ctjam: field run %q: %w", name, err)
+		}
+		out = append(out, FieldResult{
+			Scheme:             name,
+			GoodputPktsPerSlot: st.GoodputPktsPerSlot,
+			Utilization:        st.MeanUtilization,
+			ST:                 st.Counters.ST(),
+		})
+		return nil
+	}
+	for _, scheme := range schemes {
+		s, err := schemeFor(scheme, policy, ecfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := run(scheme, icfg, s); err != nil {
+			return nil, err
+		}
+	}
+	if includeNoJammer {
+		clean := icfg
+		clean.JammerEnabled = false
+		s, err := schemeFor(SchemeStatic, nil, ecfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := run("no-jammer", clean, s); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// fieldConfig builds the per-cluster testbed configuration and run length
+// (default 400 Tx slots) shared by FieldCompare and FieldScale.
+func fieldConfig(cfg Config, ecfg env.Config, opts FieldScaleOptions) (iot.Config, int) {
 	icfg := iot.DefaultConfig()
 	icfg.Channels = ecfg.Channels
 	icfg.SweepWidth = ecfg.SweepWidth
@@ -631,8 +648,8 @@ func FieldCompare(cfg Config, schemes []Scheme, policy *Policy, opts FieldOption
 	icfg.Jammer = ecfg.Jammer
 	icfg.Seed = cfg.Seed
 	icfg.Faults = ecfg.Faults
-	if opts.Nodes > 0 {
-		icfg.Nodes = opts.Nodes
+	if opts.NodesPerCluster > 0 {
+		icfg.Nodes = opts.NodesPerCluster
 	}
 	if opts.SlotDuration > 0 {
 		icfg.SlotDuration = opts.SlotDuration
@@ -646,47 +663,17 @@ func FieldCompare(cfg Config, schemes []Scheme, policy *Policy, opts FieldOption
 	if slots <= 0 {
 		slots = 400
 	}
+	return icfg, slots
+}
 
-	var out []FieldResult
-	for _, scheme := range schemes {
-		agent, err := agentFor(scheme, policy, ecfg)
-		if err != nil {
-			return nil, err
-		}
-		sim, err := iot.New(icfg)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Run(agent, slots)
-		if err != nil {
-			return nil, fmt.Errorf("ctjam: field run %q: %w", scheme, err)
-		}
-		out = append(out, FieldResult{
-			Scheme:             scheme,
-			GoodputPktsPerSlot: run.GoodputPktsPerSlot,
-			Utilization:        run.MeanUtilization,
-			ST:                 run.Counters.ST(),
-		})
+// runField runs one scheme through the field engine, every cluster playing a
+// fresh agent of the shared scheme.
+func runField(icfg iot.Config, clusters, workers int, s *pol.Scheme, slots int) (iot.EngineStats, error) {
+	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: clusters, Template: icfg, Workers: workers})
+	if err != nil {
+		return iot.EngineStats{}, err
 	}
-	if includeNoJammer {
-		clean := icfg
-		clean.JammerEnabled = false
-		sim, err := iot.New(clean)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Run(core.Static{}, slots)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, FieldResult{
-			Scheme:             "no-jammer",
-			GoodputPktsPerSlot: run.GoodputPktsPerSlot,
-			Utilization:        run.MeanUtilization,
-			ST:                 run.Counters.ST(),
-		})
-	}
-	return out, nil
+	return eng.Run(func(int) (env.Agent, error) { return s.NewAgent(), nil }, slots)
 }
 
 // FieldScaleOptions tune a sharded multi-cluster field run.
@@ -731,84 +718,26 @@ type FieldScaleResult struct {
 	ST float64
 }
 
-// fieldScaleAgents returns a factory yielding one fresh agent per cluster.
-// The baselines construct from scratch; policy-backed schemes replicate the
-// shared immutable policy through per-cluster encoders (policy.Scheme), so
-// clusters never share mutable agent state.
-func fieldScaleAgents(scheme Scheme, policy *Policy, ecfg env.Config) (func(int) (env.Agent, error), error) {
-	switch scheme {
-	case SchemePassive, SchemeRandom, SchemeStatic:
-		return func(int) (env.Agent, error) { return agentFor(scheme, policy, ecfg) }, nil
-	case SchemeRL, SchemeMDP, SchemeQLearning:
-		if policy == nil {
-			return nil, fmt.Errorf("ctjam: scheme %q needs a policy (TrainDQN, SolveMDP or TrainQLearning)", scheme)
-		}
-		var sch *pol.Scheme
-		switch a := policy.agent.(type) {
-		case interface{ Scheme() *pol.Scheme }:
-			sch = a.Scheme()
-		case interface{ Scheme() (*pol.Scheme, error) }:
-			var err error
-			if sch, err = a.Scheme(); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("ctjam: scheme %q cannot be replicated across clusters", scheme)
-		}
-		return func(int) (env.Agent, error) { return sch.NewAgent(), nil }, nil
-	default:
-		return nil, fmt.Errorf("ctjam: unknown scheme %q", scheme)
-	}
-}
-
 // FieldScale runs one scheme through the sharded field engine: Clusters
 // independent hopping clusters, each a full star network with its own
 // deterministic RNG and fault streams, executed across Workers goroutines.
 // Results are a pure function of (cfg, scheme, opts) — bit-identical at any
-// worker count — and a 1-cluster run matches FieldCompare's simulator
-// exactly.
+// worker count — and a 1-cluster run matches FieldCompare exactly.
 func FieldScale(cfg Config, scheme Scheme, policy *Policy, opts FieldScaleOptions) (*FieldScaleResult, error) {
 	ecfg, err := cfg.internal()
 	if err != nil {
 		return nil, err
 	}
-	icfg := iot.DefaultConfig()
-	icfg.Channels = ecfg.Channels
-	icfg.SweepWidth = ecfg.SweepWidth
-	icfg.TxPowers = ecfg.TxPowers
-	icfg.JamPowers = ecfg.JamPowers
-	icfg.JammerMode = ecfg.JammerMode
-	icfg.Jammer = ecfg.Jammer
-	icfg.Seed = cfg.Seed
-	icfg.Faults = ecfg.Faults
-	if opts.NodesPerCluster > 0 {
-		icfg.Nodes = opts.NodesPerCluster
-	}
-	if opts.SlotDuration > 0 {
-		icfg.SlotDuration = opts.SlotDuration
-		icfg.JammerSlot = opts.SlotDuration
-	}
-	if opts.JammerSlot > 0 {
-		icfg.JammerSlot = opts.JammerSlot
-	}
-	icfg.UseCSMA = opts.UseCSMA
+	icfg, slots := fieldConfig(cfg, ecfg, opts)
 	clusters := opts.Clusters
 	if clusters <= 0 {
 		clusters = 1
 	}
-	slots := opts.Slots
-	if slots <= 0 {
-		slots = 400
-	}
-	newAgent, err := fieldScaleAgents(scheme, policy, ecfg)
+	s, err := schemeFor(scheme, policy, ecfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: clusters, Template: icfg, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	st, err := eng.Run(newAgent, slots)
+	st, err := runField(icfg, clusters, opts.Workers, s, slots)
 	if err != nil {
 		return nil, fmt.Errorf("ctjam: field scale run %q: %w", scheme, err)
 	}

@@ -3,6 +3,7 @@ package ctjam
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,6 +56,42 @@ func TestEvaluateUnknownScheme(t *testing.T) {
 func TestEvaluateRLWithoutPolicy(t *testing.T) {
 	if _, err := Evaluate(DefaultConfig(), SchemeRL, nil, 100); err == nil {
 		t.Fatal("expected error when policy missing")
+	}
+}
+
+// TestEvaluateConcurrentSharedPolicy evaluates one trained policy from
+// several goroutines at once. Each call must drive its own agent: sharing the
+// policy's live learner races on its history window (run under -race) and
+// lets one evaluation's slots leak into another's results.
+func TestEvaluateConcurrentSharedPolicy(t *testing.T) {
+	cfg := DefaultConfig()
+	policy, err := TrainDQN(cfg, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Evaluate(cfg, SchemeRL, policy, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	got := make([]Metrics, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = Evaluate(cfg, SchemeRL, policy, 400)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("goroutine %d: %+v, want %+v", i, got[i], want)
+		}
 	}
 }
 

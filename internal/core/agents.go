@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ctjam/internal/env"
 	"ctjam/internal/mdp"
 	"ctjam/internal/policy"
 )
@@ -16,97 +15,13 @@ func hopTarget(rng *rand.Rand, current, channels, sweepWidth int) int {
 	return policy.HopTarget(rng, current, channels, sweepWidth)
 }
 
-// PassiveFH is the "PSV FH" baseline of §IV-D3: it reacts only after the
-// fact. Per §II-C2 the passive victim hops "once the error rate exceeds a
-// certain threshold", i.e. after several consecutive jammed slots — not on
-// the first one, because a single bad slot does not move a windowed error
-// rate across the threshold. It always transmits at the minimum power.
-//
-// The decision logic lives in internal/policy (Threshold over a Streak
-// encoder); this type is the serial env.Agent adapter.
-type PassiveFH struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*PassiveFH)(nil)
-
-// DefaultJamThreshold is the number of consecutive jammed slots a passive
-// victim tolerates before its windowed error rate trips and it hops.
-const DefaultJamThreshold = 4
-
-// NewPassiveFH builds the baseline for a K-channel system with the given
-// jammer sweep width, using DefaultJamThreshold.
-func NewPassiveFH(channels, sweepWidth int) (*PassiveFH, error) {
-	return NewPassiveFHThreshold(channels, sweepWidth, DefaultJamThreshold)
-}
-
-// NewPassiveFHThreshold builds the baseline with an explicit error-rate
-// threshold expressed as consecutive jammed slots.
-func NewPassiveFHThreshold(channels, sweepWidth, jamThreshold int) (*PassiveFH, error) {
-	s, err := policy.PassiveFHScheme(channels, sweepWidth, jamThreshold)
-	if err != nil {
-		return nil, err
-	}
-	return &PassiveFH{Agent: s.NewAgent()}, nil
-}
-
-// RandomFH is the "Rand FH" baseline of §IV-D3: at the start of every slot
-// it randomly chooses between hopping (at minimum power) and staying with a
-// random power level. Unlike the MDP/DQN schemes it is oblivious to the
-// jammer's 4-channel block structure: its hops land on a uniformly random
-// other channel, which sometimes stays inside the jammed block.
-//
-// The decision logic lives in internal/policy (RandomWalk encoder); this
-// type is the serial env.Agent adapter.
-type RandomFH struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*RandomFH)(nil)
-
-// NewRandomFH builds the baseline.
-func NewRandomFH(channels, sweepWidth, powers int) (*RandomFH, error) {
-	s, err := policy.RandomFHScheme(channels, sweepWidth, powers)
-	if err != nil {
-		return nil, err
-	}
-	return &RandomFH{Agent: s.NewAgent()}, nil
-}
-
-// Static is the no-defense baseline: it never hops and never raises power.
-// (Batch runs use policy.StaticScheme, which realizes the same decisions.)
-type Static struct{}
-
-var _ env.Agent = (*Static)(nil)
-
-// Name implements env.Agent.
-func (Static) Name() string { return "Static" }
-
-// Reset implements env.Agent.
-func (Static) Reset(*rand.Rand) {}
-
-// Decide always stays at minimum power.
-func (Static) Decide(prev env.SlotInfo) env.Decision {
-	return env.Decision{Channel: prev.Channel, Power: 0}
-}
-
-// MDPAgent plays the exact optimal policy of the solved anti-jamming MDP.
-// It tracks its belief state (consecutive successful slots on the current
-// channel, or the jammed states) from observed outcomes, as the idealized
-// §III-B analysis assumes.
-//
-// The belief tracking and policy lookup live in internal/policy (Lookup
-// over a Belief encoder); this type is the serial env.Agent adapter. Its
-// promoted Scheme method exposes the shared policy for batched runs.
-type MDPAgent struct {
-	*policy.Agent
-}
-
-var _ env.Agent = (*MDPAgent)(nil)
-
-// NewMDPAgent solves the model (if sol is nil) and wraps its greedy policy
-// as a runnable agent over a K-channel system.
-func NewMDPAgent(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*MDPAgent, error) {
+// MDPScheme solves the model (if sol is nil) and wraps its greedy policy as
+// the "MDP*" scheme over a K-channel system: the exact optimal policy of the
+// anti-jamming MDP, tracking its belief state (consecutive successful slots
+// on the current channel, or the jammed states) from observed outcomes, as
+// the idealized §III-B analysis assumes. Serial runs drive
+// scheme.NewAgent(); batched runs share the scheme's policy directly.
+func MDPScheme(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*policy.Scheme, error) {
 	if err := checkTopology(channels, sweepWidth); err != nil {
 		return nil, err
 	}
@@ -120,11 +35,7 @@ func NewMDPAgent(m *Model, sol *mdp.Solution, channels, sweepWidth int) (*MDPAge
 	if len(sol.Policy) != m.NumStates() {
 		return nil, fmt.Errorf("core: policy has %d states, model needs %d", len(sol.Policy), m.NumStates())
 	}
-	s, err := policy.MDPScheme("MDP*", m, sol.Policy, channels, sweepWidth)
-	if err != nil {
-		return nil, err
-	}
-	return &MDPAgent{Agent: s.NewAgent()}, nil
+	return policy.MDPScheme("MDP*", m, sol.Policy, channels, sweepWidth)
 }
 
 func checkTopology(channels, sweepWidth int) error {

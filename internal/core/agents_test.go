@@ -8,7 +8,29 @@ import (
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
+	"ctjam/internal/policy"
 )
+
+// baselineAgent builds a serial agent for one baseline tag on the paper's
+// 16-channel, 4-wide-sweep, 10-power topology.
+func baselineAgent(t *testing.T, tag string) env.Agent {
+	t.Helper()
+	s, err := policy.Baseline(tag, 16, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.NewAgent()
+}
+
+// mdpAgent solves the model and returns a serial agent playing its policy.
+func mdpAgent(t *testing.T, m *Model) env.Agent {
+	t.Helper()
+	s, err := MDPScheme(m, nil, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.NewAgent()
+}
 
 func runAgent(t *testing.T, cfg env.Config, a env.Agent, slots int) metrics.Counters {
 	t.Helper()
@@ -54,13 +76,13 @@ func TestHopTargetUnevenChannels(t *testing.T) {
 }
 
 func TestAgentConstructorsValidate(t *testing.T) {
-	if _, err := NewPassiveFH(1, 1); err == nil {
+	if _, err := policy.Baseline(policy.BaselinePassive, 1, 1, 10); err == nil {
 		t.Fatal("1 channel: expected error")
 	}
-	if _, err := NewPassiveFH(4, 4); err == nil {
+	if _, err := policy.Baseline(policy.BaselinePassive, 4, 4, 10); err == nil {
 		t.Fatal("single block: expected error")
 	}
-	if _, err := NewRandomFH(16, 4, 0); err == nil {
+	if _, err := policy.Baseline(policy.BaselineRandom, 16, 4, 0); err == nil {
 		t.Fatal("0 powers: expected error")
 	}
 	if _, err := NewDQNAgent(DQNAgentConfig{Channels: 16, Powers: 0, SweepWidth: 4, HistoryLen: 4, Hidden: []int{8}}); err == nil {
@@ -74,10 +96,11 @@ func TestAgentConstructorsValidate(t *testing.T) {
 }
 
 func TestPassiveFHOnlyHopsAfterJamStreak(t *testing.T) {
-	a, err := NewPassiveFHThreshold(16, 4, 3)
+	s, err := policy.PassiveFHScheme(16, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := s.NewAgent()
 	a.Reset(rand.New(rand.NewSource(3)))
 	d := a.Decide(env.SlotInfo{First: true, Channel: 5})
 	if d.Channel != 5 || d.Power != 0 {
@@ -111,13 +134,13 @@ func TestPassiveFHOnlyHopsAfterJamStreak(t *testing.T) {
 }
 
 func TestPassiveFHThresholdValidation(t *testing.T) {
-	if _, err := NewPassiveFHThreshold(16, 4, 0); err == nil {
+	if _, err := policy.PassiveFHScheme(16, 4, 0); err == nil {
 		t.Fatal("threshold 0: expected error")
 	}
 }
 
 func TestStaticAgentNeverMoves(t *testing.T) {
-	var a Static
+	a := baselineAgent(t, policy.BaselineStatic)
 	a.Reset(nil)
 	for i := 0; i < 10; i++ {
 		d := a.Decide(env.SlotInfo{Channel: 7, Outcome: env.OutcomeJammed})
@@ -128,10 +151,7 @@ func TestStaticAgentNeverMoves(t *testing.T) {
 }
 
 func TestRandomFHMixesActions(t *testing.T) {
-	a, err := NewRandomFH(16, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := baselineAgent(t, policy.BaselineRandom)
 	a.Reset(rand.New(rand.NewSource(4)))
 	hops, pcs := 0, 0
 	prev := env.SlotInfo{Channel: 3}
@@ -156,27 +176,18 @@ func TestSchemeOrderingUnderMaxPowerJammer(t *testing.T) {
 	cfg.Seed = 99
 	const slots = 20000
 
-	passive, err := NewPassiveFH(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := NewRandomFH(16, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive)
+	random := baselineAgent(t, policy.BaselineRandom)
 	model, err := NewModel(ParamsFromEnv(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdpAgent, err := NewMDPAgent(model, nil, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mdp := mdpAgent(t, model)
 
-	stStatic := runAgent(t, cfg, Static{}, slots).ST()
+	stStatic := runAgent(t, cfg, baselineAgent(t, policy.BaselineStatic), slots).ST()
 	stPassive := runAgent(t, cfg, passive, slots).ST()
 	stRandom := runAgent(t, cfg, random, slots).ST()
-	stMDP := runAgent(t, cfg, mdpAgent, slots).ST()
+	stMDP := runAgent(t, cfg, mdp, slots).ST()
 
 	t.Logf("ST: static=%.3f passive=%.3f random=%.3f mdp=%.3f", stStatic, stPassive, stRandom, stMDP)
 	if !(stMDP > stRandom && stRandom > stPassive && stPassive > stStatic) {
@@ -199,25 +210,16 @@ func TestMDPAgentPaperRatios(t *testing.T) {
 	cfg.Seed = 7
 	const slots = 20000
 
-	passive, err := NewPassiveFH(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := NewRandomFH(16, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive)
+	random := baselineAgent(t, policy.BaselineRandom)
 	model, err := NewModel(ParamsFromEnv(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mdpAgent, err := NewMDPAgent(model, nil, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mdp := mdpAgent(t, model)
 	stPassive := runAgent(t, cfg, passive, slots).ST()
 	stRandom := runAgent(t, cfg, random, slots).ST()
-	stMDP := runAgent(t, cfg, mdpAgent, slots).ST()
+	stMDP := runAgent(t, cfg, mdp, slots).ST()
 	if stPassive < 0.25 || stPassive > 0.55 {
 		t.Fatalf("passive ST %.3f outside paper band ~0.38", stPassive)
 	}
@@ -254,10 +256,7 @@ func TestDQNAgentLearnsToBeatPassive(t *testing.T) {
 	evalCfg.Seed = 123
 	stDQN := runAgent(t, evalCfg, agent, 5000).ST()
 
-	passive, err := NewPassiveFH(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive)
 	stPassive := runAgent(t, evalCfg, passive, 5000).ST()
 	t.Logf("ST: dqn=%.3f passive=%.3f", stDQN, stPassive)
 	if stDQN <= stPassive {
@@ -333,10 +332,7 @@ func TestMDPAgentRandomModeUsesPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := NewMDPAgent(model, nil, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agent := mdpAgent(t, model)
 	c := runAgent(t, cfg, agent, 20000)
 	if c.AP() == 0 {
 		t.Fatal("random-mode MDP agent never used power control")

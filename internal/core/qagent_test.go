@@ -5,6 +5,7 @@ import (
 
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
+	"ctjam/internal/policy"
 )
 
 func TestNewQAgentValidation(t *testing.T) {
@@ -64,10 +65,7 @@ func TestQAgentLearnsToDefend(t *testing.T) {
 	evalCfg.Seed = 99
 	st := runAgent(t, evalCfg, agent, 10000).ST()
 
-	passive, err := NewPassiveFH(16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive)
 	stPassive := runAgent(t, evalCfg, passive, 10000).ST()
 	t.Logf("ST: q-learning=%.3f passive=%.3f", st, stPassive)
 	if st <= stPassive {

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ctjam/internal/core"
 	"ctjam/internal/env"
+	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
 	"ctjam/internal/policy"
@@ -40,28 +40,30 @@ import (
 // bit-identical to recomputation, and a Cache may be shared across runs with
 // different budgets or engines (their keys differ).
 type Cache struct {
-	mu      sync.Mutex
-	points  map[string]*pointEntry
-	schemes map[string]*schemeEntry
-	fields  map[string]*fieldEntry
-
-	hits   atomic.Int64
-	misses atomic.Int64
-
-	fieldHits   atomic.Int64
-	fieldMisses atomic.Int64
+	points  *memo[metrics.Counters]
+	schemes *memo[builtScheme]
+	fields  *memo[iot.RunStats]
 
 	schemeBuilds  atomic.Int64
 	schemeImports atomic.Int64
+}
+
+// builtScheme is one resolved trained/solved scheme plus its canonical CTSC
+// checkpoint (see internal/core DecodeScheme): locally built schemes keep the
+// bytes they were rebuilt from, imported ones the bytes they were installed
+// from, so any resolved entry can be exported. Baseline schemes have no blob.
+type builtScheme struct {
+	s    *policy.Scheme
+	blob []byte
 }
 
 // NewCache returns an empty cache, ready to be shared across experiment runs
 // via Options.Cache.
 func NewCache() *Cache {
 	return &Cache{
-		points:  make(map[string]*pointEntry),
-		schemes: make(map[string]*schemeEntry),
-		fields:  make(map[string]*fieldEntry),
+		points:  newMemo[metrics.Counters]("sweep point"),
+		schemes: newMemo[builtScheme]("scheme"),
+		fields:  newMemo[iot.RunStats]("field run"),
 	}
 }
 
@@ -92,56 +94,15 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	schemes := len(c.schemes)
-	c.mu.Unlock()
 	return CacheStats{
-		PointHits:     c.hits.Load(),
-		PointMisses:   c.misses.Load(),
-		Schemes:       schemes,
+		PointHits:     c.points.hits.Load(),
+		PointMisses:   c.points.misses.Load(),
+		Schemes:       c.schemes.len(),
 		SchemeBuilds:  c.schemeBuilds.Load(),
 		SchemeImports: c.schemeImports.Load(),
-		FieldHits:     c.fieldHits.Load(),
-		FieldMisses:   c.fieldMisses.Load(),
+		FieldHits:     c.fields.hits.Load(),
+		FieldMisses:   c.fields.misses.Load(),
 	}
-}
-
-// pointEntry is one memoized sweep-point result. done is closed once c/err
-// are final; readers block on it.
-type pointEntry struct {
-	done chan struct{}
-	c    metrics.Counters
-	err  error
-}
-
-// schemeEntry is one memoized trained/solved scheme, same protocol. blob is
-// the scheme's canonical CTSC checkpoint (see internal/core DecodeScheme):
-// locally built schemes keep the bytes they were rebuilt from, imported ones
-// the bytes they were installed from, so any resolved entry can be exported.
-type schemeEntry struct {
-	done chan struct{}
-	s    *policy.Scheme
-	blob []byte
-	err  error
-}
-
-// claimPoint returns the entry for key and whether the caller claimed it. A
-// claimed entry MUST be filled (fields set, done closed) by the caller;
-// unclaimed entries are filled — now or eventually — by whoever claimed them.
-func (c *Cache) claimPoint(key string) (*pointEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.points[key]
-	if !ok {
-		e = &pointEntry{done: make(chan struct{})}
-		c.points[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		return e, false
-	}
-	c.misses.Add(1)
-	return e, true
 }
 
 // scheme returns the memoized scheme for key, building it on first request.
@@ -150,51 +111,30 @@ func (c *Cache) claimPoint(key string) (*pointEntry, bool) {
 // build also yields the scheme's canonical checkpoint bytes, kept alongside
 // the entry for export.
 func (c *Cache) scheme(ctx context.Context, key string, build func() (*policy.Scheme, []byte, error)) (*policy.Scheme, error) {
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	if !ok {
-		e = &schemeEntry{done: make(chan struct{})}
-		c.schemes[key] = e
-	}
-	c.mu.Unlock()
-	if !ok {
-		e.s, e.blob, e.err = build()
-		if e.blob != nil {
+	e, claimed := c.schemes.claim(key)
+	if claimed {
+		s, blob, err := build()
+		if blob != nil {
 			// Only checkpoint-bearing (trained/solved) schemes count toward
 			// the fleet-wide build accounting; blobless baseline schemes are
 			// rebuilt wherever needed.
 			c.schemeBuilds.Add(1)
 		}
-		close(e.done)
-		return e.s, e.err
+		e.fill(builtScheme{s: s, blob: blob}, err)
 	}
-	select {
-	case <-e.done:
-		return e.s, e.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("experiments: waiting for in-flight scheme: %w", ctx.Err())
-	}
+	b, err := c.schemes.wait(ctx, e)
+	return b.s, err
 }
 
 // SchemeBytes returns the canonical checkpoint of a resolved scheme entry,
 // or false if the key is unknown, still in flight, or failed. The returned
 // slice is the cache's own copy and must not be mutated.
 func (c *Cache) SchemeBytes(key string) ([]byte, bool) {
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	c.mu.Unlock()
-	if !ok {
+	b, ok := c.schemes.get(key)
+	if !ok || b.blob == nil {
 		return nil, false
 	}
-	select {
-	case <-e.done:
-	default:
-		return nil, false
-	}
-	if e.err != nil || e.blob == nil {
-		return nil, false
-	}
-	return e.blob, true
+	return b.blob, true
 }
 
 // ImportScheme installs an externally trained scheme checkpoint under its
@@ -212,20 +152,9 @@ func (c *Cache) ImportScheme(key string, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	e, ok := c.schemes[key]
-	if !ok {
-		e = &schemeEntry{done: make(chan struct{})}
-		c.schemes[key] = e
+	if c.schemes.put(key, builtScheme{s: s, blob: append([]byte(nil), blob...)}) {
+		c.schemeImports.Add(1)
 	}
-	c.mu.Unlock()
-	if ok {
-		return nil
-	}
-	c.schemeImports.Add(1)
-	e.s = s
-	e.blob = append([]byte(nil), blob...)
-	close(e.done)
 	return nil
 }
 
@@ -240,23 +169,11 @@ type SchemeBlob struct {
 // sorted by key. Static-mode spool shards persist these so MergeSpools can
 // account for fleet-wide training work.
 func (c *Cache) ExportSchemes() []SchemeBlob {
-	c.mu.Lock()
-	entries := make(map[string]*schemeEntry, len(c.schemes))
-	for k, e := range c.schemes {
-		entries[k] = e
-	}
-	c.mu.Unlock()
 	var out []SchemeBlob
-	for k, e := range entries {
-		select {
-		case <-e.done:
-		default:
-			continue
+	for k, b := range c.schemes.resolved() {
+		if b.blob != nil {
+			out = append(out, SchemeBlob{Key: k, Data: b.blob})
 		}
-		if e.err != nil || e.blob == nil {
-			continue
-		}
-		out = append(out, SchemeBlob{Key: k, Data: e.blob})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -294,41 +211,13 @@ func (c *Cache) TrainScheme(ctx context.Context, o Options, cfg env.Config) (key
 	return key, blob, nil
 }
 
-// waitPoint blocks until a point entry is filled or ctx ends. A filled entry
-// always wins the race: the unconditional first select makes an expired
-// context irrelevant for results that are already available.
-func waitPoint(ctx context.Context, e *pointEntry) (metrics.Counters, error) {
-	select {
-	case <-e.done:
-		return e.c, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.c, e.err
-	case <-ctx.Done():
-		return metrics.Counters{}, fmt.Errorf("experiments: waiting for in-flight sweep point: %w", ctx.Err())
-	}
-}
-
 // ImportPoint installs an externally computed point result — a distributed
 // worker's Counters — under its canonical key (see PointKey). Point results
 // are pure functions of their keys, so importing a key that is already
 // resolved is a no-op (the stored value is identical by construction), and a
 // key that is locally in flight is left for its claimant to fill.
 func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
-	c.mu.Lock()
-	e, ok := c.points[key]
-	if !ok {
-		e = &pointEntry{done: make(chan struct{})}
-		c.points[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		return
-	}
-	e.c = counters
-	close(e.done)
+	c.points.put(key, counters)
 }
 
 // pointKey is the canonical fingerprint of one sweep point: everything that
@@ -402,30 +291,17 @@ func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, error)
 	}
 }
 
-// baselineScheme builds one of the deterministic baseline defenses. They
-// carry no learned state, so there is no checkpoint blob: a nil blob keeps
-// them out of scheme exports and checkpoint shipping, and every process
-// rebuilds them identically from the config alone.
-func baselineScheme(defense string, cfg env.Config) (*policy.Scheme, error) {
-	switch defense {
-	case DefensePassive:
-		return policy.PassiveFHScheme(cfg.Channels, cfg.SweepWidth, core.DefaultJamThreshold)
-	case DefenseRandom:
-		return policy.RandomFHScheme(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	case DefenseStatic:
-		return policy.StaticScheme(), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown defense %q", defense)
-	}
-}
-
 // buildSchemeFor builds the scheme one point evaluates: the engine-selected
 // RL FH for an empty defense tag, a deterministic baseline otherwise.
+// Baselines carry no learned state, so there is no checkpoint blob: a nil
+// blob keeps them out of scheme exports and checkpoint shipping, and every
+// process rebuilds them identically from the config alone.
 func buildSchemeFor(o Options, p Point) (*policy.Scheme, []byte, error) {
-	if p.Defense == "" {
+	if p.Defense == DefenseRL {
 		return buildScheme(o, p.Config)
 	}
-	s, err := baselineScheme(p.Defense, p.Config)
+	cfg := p.Config
+	s, err := policy.Baseline(p.Defense, cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
 	return s, nil, err
 }
 
@@ -489,14 +365,14 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		groups[k] = append(groups[k], i)
 	}
 
-	entries := make([]*pointEntry, len(pts))
+	entries := make([]*memoEntry[metrics.Counters], len(pts))
 	err := parallel.ForEach(o.Workers, len(order), func(g int) error {
 		idxs := groups[order[g]]
 		// Claim the group's uncached points. Duplicate keys inside the group
 		// (identical points) resolve to one claim; the rest read the entry.
 		claimed := idxs[:0:0]
 		for _, i := range idxs {
-			e, claim := cache.claimPoint(pointKey(o, pts[i]))
+			e, claim := cache.points.claim(pointKey(o, pts[i]))
 			entries[i] = e
 			if claim {
 				claimed = append(claimed, i)
@@ -508,13 +384,11 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		// A claimed entry must always be filled, or waiters deadlock.
 		fill := func(cs []metrics.Counters, err error) {
 			for j, i := range claimed {
-				e := entries[i]
-				if err != nil {
-					e.err = err
-				} else {
-					e.c = cs[j]
+				var c metrics.Counters
+				if err == nil {
+					c = cs[j]
 				}
-				close(e.done)
+				entries[i].fill(c, err)
 			}
 		}
 		scheme, err := cache.scheme(ctx, order[g], func() (*policy.Scheme, []byte, error) {
@@ -545,7 +419,7 @@ func runPoints(o Options, pts []Point, label func(i int) string) ([]metrics.Coun
 		// Entries claimed by a concurrent run may still be in flight; the
 		// wait is context-bounded so a claimant that died elsewhere (e.g. a
 		// lost distributed worker) cannot wedge this caller forever.
-		c, werr := waitPoint(ctx, e)
+		c, werr := cache.points.wait(ctx, e)
 		if werr != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", label(i), werr)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/jammer"
 	"ctjam/internal/metrics"
@@ -147,6 +148,45 @@ func TestSweepCacheConcurrent(t *testing.T) {
 	}
 }
 
+// serialRLAgent is the serial reference for TestBatchedSerialEvalCounters:
+// it builds the engine-selected RL FH agent for one point directly — the
+// live trained DQN learner, or the solved MDP — with no checkpoint round
+// trip and no shared snapshot.
+func serialRLAgent(o Options, cfg env.Config) (env.Agent, error) {
+	switch o.Engine {
+	case EngineDQN:
+		acfg := core.DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
+		acfg.Seed = o.Seed
+		acfg.Epsilon.DecaySteps = o.TrainSlots * 2 / 3
+		agent, err := core.NewDQNAgent(acfg)
+		if err != nil {
+			return nil, err
+		}
+		trainCfg := cfg
+		trainCfg.Seed = o.Seed + 1000
+		trainEnv, err := env.New(trainCfg)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := agent.Train(trainEnv, o.TrainSlots); err != nil {
+			return nil, err
+		}
+		return agent, nil
+	case EngineMDP:
+		model, err := core.NewModel(core.ParamsFromEnv(cfg))
+		if err != nil {
+			return nil, err
+		}
+		s, err := core.MDPScheme(model, nil, cfg.Channels, cfg.SweepWidth)
+		if err != nil {
+			return nil, err
+		}
+		return s.NewAgent(), nil
+	default:
+		return nil, fmt.Errorf("experiments: unknown engine %v", o.Engine)
+	}
+}
+
 // TestBatchedSerialEvalCounters is the batched-evaluation acceptance check:
 // for both engines, the Counters produced by runPoints (snapshot scheme +
 // env.BatchRun, siblings evaluated in lockstep) are identical to a serial
@@ -183,7 +223,7 @@ func TestBatchedSerialEvalCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, cfg := range cfgs {
-				agent, err := rlAgent(o, cfg)
+				agent, err := serialRLAgent(o, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,10 +3,10 @@ package experiments
 import (
 	"math/rand"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/ids"
 	"ctjam/internal/phy/zigbee"
+	"ctjam/internal/policy"
 )
 
 // runDetect extends the stealth experiment to the defender's conclusion:
@@ -23,7 +23,7 @@ func runDetect(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	passive, err := core.NewPassiveFH(ecfg.Channels, ecfg.SweepWidth)
+	passive, err := policy.Baseline(policy.BaselinePassive, ecfg.Channels, ecfg.SweepWidth, len(ecfg.TxPowers))
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +31,7 @@ func runDetect(o Options) (*Result, error) {
 	if slots > 4000 {
 		slots = 4000
 	}
-	_, records, err := env.RunTrace(e, passive, slots)
+	_, records, err := env.RunTrace(e, passive.NewAgent(), slots)
 	if err != nil {
 		return nil, err
 	}

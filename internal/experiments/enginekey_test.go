@@ -3,8 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ctjam/internal/env"
+	"ctjam/internal/policy"
+	"ctjam/internal/rl"
 )
 
 // Regression tests for the cache-key engine contract: the numeric engine
@@ -35,13 +38,13 @@ func TestCacheKeysIncludeEngineChoice(t *testing.T) {
 
 	// A shared cache keeps the two engine variants as distinct entries.
 	c := NewCache()
-	if _, claimed := c.claimPoint(pointKey(base, Point{Config: cfg})); !claimed {
+	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); !claimed {
 		t.Fatal("first exact-point claim should miss")
 	}
-	if _, claimed := c.claimPoint(pointKey(fast, Point{Config: cfg})); !claimed {
+	if _, claimed := c.points.claim(pointKey(fast, Point{Config: cfg})); !claimed {
 		t.Fatal("fast32 point must not be served from the exact entry")
 	}
-	if _, claimed := c.claimPoint(pointKey(base, Point{Config: cfg})); claimed {
+	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); claimed {
 		t.Fatal("repeat exact-point claim should hit")
 	}
 }
@@ -85,5 +88,43 @@ func TestPointKeyCarriesFast32Tag(t *testing.T) {
 	o.Fast32 = false
 	if !strings.Contains(PointKey(o, Point{Config: cfg}), "fast=false") {
 		t.Fatalf("point key %q does not carry the fast32 tag", PointKey(o, Point{Config: cfg}))
+	}
+}
+
+// TestFieldRLSchemeHonoursFast32 pins the field RL scheme to the sweep
+// points' checkpoint path: a DQN RL field spec under Fast32 — which its
+// field key already records — plays the float32 engine, and the exact
+// engine otherwise.
+func TestFieldRLSchemeHonoursFast32(t *testing.T) {
+	spec := FieldSpec{
+		Scheme: FieldSchemeRL, Jammer: true, Clusters: 2, Nodes: 3,
+		SlotDuration: time.Second, JammerSlot: time.Second, Seed: 1, Slots: 20,
+	}
+	for _, fast := range []bool{false, true} {
+		o := cacheTestOptions()
+		o.Engine = EngineDQN
+		o.TrainSlots = 300
+		o.Fast32 = fast
+		if got := fieldKey(o, spec); strings.Contains(got, "fast=true") != fast {
+			t.Fatalf("fast32=%t: field key %q", fast, got)
+		}
+		sch, err := fieldScheme(o, spec, fieldConfig(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dqn, ok := sch.Policy().(*policy.DQN)
+		if !ok {
+			t.Fatalf("fast32=%t: field RL policy is %T, want *policy.DQN", fast, sch.Policy())
+		}
+		want := rl.EngineExact
+		if fast {
+			want = rl.EngineFast32
+		}
+		if dqn.Engine() != want {
+			t.Errorf("fast32=%t: field RL scheme runs engine %v, want %v", fast, dqn.Engine(), want)
+		}
+		if _, err := computeFieldSpec(o, spec); err != nil {
+			t.Fatalf("fast32=%t: %v", fast, err)
+		}
 	}
 }

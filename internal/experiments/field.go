@@ -4,24 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"ctjam/internal/env"
 	"ctjam/internal/iot"
 	"ctjam/internal/metrics"
 	"ctjam/internal/parallel"
 )
-
-// fieldRLAgent builds the RL FH agent for the field simulator's channel
-// layout.
-func fieldRLAgent(o Options, cfg iot.Config) (env.Agent, error) {
-	ecfg := env.DefaultConfig()
-	ecfg.Channels = cfg.Channels
-	ecfg.SweepWidth = cfg.SweepWidth
-	ecfg.TxPowers = cfg.TxPowers
-	ecfg.JamPowers = cfg.JamPowers
-	ecfg.JammerMode = cfg.JammerMode
-	ecfg.Seed = o.Seed
-	return rlAgent(o, ecfg)
-}
 
 // runFig9a samples the per-function time consumption (Fig. 9a).
 func runFig9a(o Options) (*Result, error) {

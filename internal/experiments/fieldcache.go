@@ -6,24 +6,24 @@ import (
 	"sort"
 	"time"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/iot"
 	"ctjam/internal/parallel"
+	"ctjam/internal/policy"
 )
 
 // Field-simulator scheme tags. A FieldSpec names its anti-jamming scheme by
-// tag so the spec stays a pure value: workers rebuild the agent from the tag
+// tag so the spec stays a pure value: workers rebuild the scheme from the tag
 // and the Options budget, which the field key fingerprints.
 const (
 	// FieldSchemePSV is the paper's passive FH baseline.
-	FieldSchemePSV = "psv"
+	FieldSchemePSV = policy.BaselinePassive
 	// FieldSchemeRand is the random FH baseline.
-	FieldSchemeRand = "rand"
+	FieldSchemeRand = policy.BaselineRandom
 	// FieldSchemeRL is the RL FH defense (engine-selected, like sweeps).
 	FieldSchemeRL = "rl"
 	// FieldSchemeStatic never hops — the "w/o Jx" reference scheme.
-	FieldSchemeStatic = "static"
+	FieldSchemeStatic = policy.BaselineStatic
 )
 
 // FieldSpec identifies one unique field-simulator run: the network layout,
@@ -89,65 +89,12 @@ func (s FieldSpec) Validate() error {
 	return nil
 }
 
-// fieldEntry is one memoized field-run result, same done-channel protocol as
-// pointEntry.
-type fieldEntry struct {
-	done chan struct{}
-	s    iot.RunStats
-	err  error
-}
-
-// claimField returns the entry for key and whether the caller claimed it; a
-// claimed entry MUST be filled by the caller.
-func (c *Cache) claimField(key string) (*fieldEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.fields[key]
-	if !ok {
-		e = &fieldEntry{done: make(chan struct{})}
-		c.fields[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.fieldHits.Add(1)
-		return e, false
-	}
-	c.fieldMisses.Add(1)
-	return e, true
-}
-
-// waitField blocks until a field entry is filled or ctx ends; a filled entry
-// always wins the race.
-func waitField(ctx context.Context, e *fieldEntry) (iot.RunStats, error) {
-	select {
-	case <-e.done:
-		return e.s, e.err
-	default:
-	}
-	select {
-	case <-e.done:
-		return e.s, e.err
-	case <-ctx.Done():
-		return iot.RunStats{}, fmt.Errorf("experiments: waiting for in-flight field run: %w", ctx.Err())
-	}
-}
-
 // ImportFieldRun installs an externally computed field run — a distributed
 // worker's RunStats — under its canonical key (see FieldKey). Like
 // ImportPoint, importing an already-resolved key is a no-op and an in-flight
 // key is left for its claimant.
 func (c *Cache) ImportFieldRun(key string, stats iot.RunStats) {
-	c.mu.Lock()
-	e, ok := c.fields[key]
-	if !ok {
-		e = &fieldEntry{done: make(chan struct{})}
-		c.fields[key] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		return
-	}
-	e.s = stats
-	close(e.done)
+	c.fields.put(key, stats)
 }
 
 // fieldConfig materializes the per-cluster iot.Config of a spec.
@@ -161,49 +108,45 @@ func fieldConfig(s FieldSpec) iot.Config {
 	return cfg
 }
 
-// fieldAgent builds one fresh agent instance for a spec's scheme. Agents are
-// stateful, so every simulator (and every engine cluster) gets its own copy;
-// construction is deterministic in (o, spec).
-func fieldAgent(o Options, s FieldSpec, cfg iot.Config) (env.Agent, error) {
-	switch s.Scheme {
-	case FieldSchemePSV:
-		return core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
-	case FieldSchemeRand:
-		return core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	case FieldSchemeRL:
-		return fieldRLAgent(o, cfg)
-	case FieldSchemeStatic:
-		return core.Static{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown field scheme %q", s.Scheme)
+// fieldScheme builds the scheme a spec's clusters play: a baseline from its
+// tag, or the engine-selected RL FH trained (or solved) once for the field's
+// channel layout — the same construction and checkpoint round trip as a
+// sweep point's scheme, so Fast32 applies. It is built outside Cache.scheme,
+// so field runs never count toward SchemeBuilds.
+func fieldScheme(o Options, s FieldSpec, cfg iot.Config) (*policy.Scheme, error) {
+	if s.Scheme != FieldSchemeRL {
+		return policy.Baseline(s.Scheme, cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
 	}
+	ecfg := env.DefaultConfig()
+	ecfg.Channels = cfg.Channels
+	ecfg.SweepWidth = cfg.SweepWidth
+	ecfg.TxPowers = cfg.TxPowers
+	ecfg.JamPowers = cfg.JamPowers
+	ecfg.JammerMode = cfg.JammerMode
+	ecfg.Seed = o.Seed
+	sch, _, err := buildScheme(o, ecfg)
+	return sch, err
 }
 
-// computeFieldSpec executes one field run. Single-cluster specs run the
-// classic Simulator; multi-cluster specs run the sharded engine and project
-// its field-wide statistics. Either way the result is a pure function of
-// (o, spec) — o.Workers only shards the engine and never changes results.
+// computeFieldSpec executes one field run on the sharded engine (a 1-cluster
+// engine is the paper's single star network) and projects its field-wide
+// statistics. Every cluster plays a fresh agent of one shared scheme. The
+// result is a pure function of (o, spec) — o.Workers only shards the engine
+// and never changes results.
 func computeFieldSpec(o Options, s FieldSpec) (iot.RunStats, error) {
 	if err := s.Validate(); err != nil {
 		return iot.RunStats{}, err
 	}
 	cfg := fieldConfig(s)
-	if s.Clusters == 1 {
-		agent, err := fieldAgent(o, s, cfg)
-		if err != nil {
-			return iot.RunStats{}, err
-		}
-		sim, err := iot.New(cfg)
-		if err != nil {
-			return iot.RunStats{}, err
-		}
-		return sim.Run(agent, s.Slots)
+	sch, err := fieldScheme(o, s, cfg)
+	if err != nil {
+		return iot.RunStats{}, err
 	}
 	eng, err := iot.NewEngine(iot.EngineConfig{Clusters: s.Clusters, Template: cfg, Workers: o.Workers})
 	if err != nil {
 		return iot.RunStats{}, err
 	}
-	st, err := eng.Run(func(int) (env.Agent, error) { return fieldAgent(o, s, cfg) }, s.Slots)
+	st, err := eng.Run(func(int) (env.Agent, error) { return sch.NewAgent(), nil }, s.Slots)
 	if err != nil {
 		return iot.RunStats{}, err
 	}
@@ -225,18 +168,15 @@ func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	entries := make([]*fieldEntry, len(specs))
+	entries := make([]*memoEntry[iot.RunStats], len(specs))
 	claimed := make([]bool, len(specs))
 	for i, s := range specs {
-		entries[i], claimed[i] = cache.claimField(fieldKey(o, s))
+		entries[i], claimed[i] = cache.fields.claim(fieldKey(o, s))
 	}
 	err := parallel.ForEach(o.Workers, len(specs), func(i int) error {
-		if !claimed[i] {
-			return nil
+		if claimed[i] {
+			entries[i].fill(computeFieldSpec(o, specs[i]))
 		}
-		e := entries[i]
-		e.s, e.err = computeFieldSpec(o, specs[i])
-		close(e.done)
 		return nil
 	})
 	if err != nil {
@@ -244,7 +184,7 @@ func runFieldSpecs(o Options, specs []FieldSpec) ([]iot.RunStats, error) {
 	}
 	out := make([]iot.RunStats, len(specs))
 	for i, e := range entries {
-		st, werr := waitField(ctx, e)
+		st, werr := cache.fields.wait(ctx, e)
 		if werr != nil {
 			return nil, fmt.Errorf("field run %s: %w", specs[i].Scheme, werr)
 		}

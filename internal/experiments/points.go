@@ -6,6 +6,7 @@ import (
 
 	"ctjam/internal/env"
 	"ctjam/internal/metrics"
+	"ctjam/internal/policy"
 )
 
 // Point is one cache-backed unit of sweep evaluation: an environment (which
@@ -21,12 +22,13 @@ type Point struct {
 	Defense string
 }
 
-// Defense tags for Point.Defense, matching the field cache's scheme tags.
+// Defense tags for Point.Defense: the policy package's baseline tags, shared
+// with the field cache's scheme tags.
 const (
 	DefenseRL      = "" // engine-selected RL FH (MDP or DQN)
-	DefensePassive = "psv"
-	DefenseRandom  = "rand"
-	DefenseStatic  = "static"
+	DefensePassive = policy.BaselinePassive
+	DefenseRandom  = policy.BaselineRandom
+	DefenseStatic  = policy.BaselineStatic
 )
 
 // PointSpec identifies one unique cache-backed sweep point: the point it

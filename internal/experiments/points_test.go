@@ -124,58 +124,100 @@ func TestImportPointServesCacheHits(t *testing.T) {
 	}
 }
 
-// TestRunPointsContextCancel pins the liveness contract of the claim/wait
-// protocol: a waiter on a point claimed by a computation that never finishes
-// (a dead process elsewhere) unblocks when its context ends instead of
-// hanging forever.
-func TestRunPointsContextCancel(t *testing.T) {
+// TestCacheWaitContextCancel pins the memo's wait contract on every cache
+// layer: a waiter on an entry whose claimant never fills it (e.g. a lost
+// distributed worker) gives up when its context ends instead of wedging.
+func TestCacheWaitContextCancel(t *testing.T) {
 	o := pointOptions()
-	specs, err := CachePoints(o, []string{"table1"})
+	points, err := CachePoints(o, []string{"table1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache()
-	if _, claimed := cache.claimPoint(specs[0].Key); !claimed {
-		t.Fatal("first claim not granted")
+	fields, err := CacheFieldSpecs(o, []string{"fig10a"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The claimant above never fills its entry.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	o.Cache = cache
-	o.Context = ctx
-	pts := make([]Point, len(specs))
-	for i, sp := range specs {
-		pts[i] = Point{Config: sp.Config, Defense: sp.Defense}
-	}
-	_, err = EvaluatePoints(o, pts)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("waiting on a dead claimant: err = %v, want deadline exceeded", err)
+	for _, tc := range []struct {
+		name  string
+		claim func(*Cache) bool
+		wait  func(Options) error
+	}{
+		{"point", func(c *Cache) bool {
+			_, claimed := c.points.claim(points[0].Key)
+			return claimed
+		}, func(o Options) error {
+			_, err := EvaluatePoints(o, []Point{{Config: points[0].Config, Defense: points[0].Defense}})
+			return err
+		}},
+		{"scheme", func(c *Cache) bool {
+			_, claimed := c.schemes.claim("stuck-key")
+			return claimed
+		}, func(o Options) error {
+			_, err := o.Cache.scheme(o.Context, "stuck-key", func() (*policy.Scheme, []byte, error) {
+				t.Error("second builder invoked for an in-flight key")
+				return nil, nil, nil
+			})
+			return err
+		}},
+		{"field", func(c *Cache) bool {
+			_, claimed := c.fields.claim(fields[0].Key)
+			return claimed
+		}, func(o Options) error {
+			_, err := EvaluateFieldSpecs(o, []FieldSpec{fields[0].Spec})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := o
+			o.Cache = NewCache()
+			// The claimant below never fills its entry.
+			if !tc.claim(o.Cache) {
+				t.Fatal("first claim not granted")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			o.Context = ctx
+			if err := tc.wait(o); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("waiting on a dead claimant: err = %v, want deadline exceeded", err)
+			}
+		})
 	}
 }
 
-// TestSchemeWaitContextCancel pins the same contract for the scheme layer.
-func TestSchemeWaitContextCancel(t *testing.T) {
-	cache := NewCache()
-	release := make(chan struct{})
-	defer close(release)
-	go cache.scheme(context.Background(), "stuck-key", func() (*policy.Scheme, []byte, error) {
-		<-release
-		return nil, nil, errors.New("never used")
-	})
-	// Wait until the builder holds the claim.
-	for i := 0; cache.Stats().Schemes == 0; i++ {
-		if i > 1000 {
-			t.Fatal("builder never claimed the scheme entry")
-		}
-		time.Sleep(time.Millisecond)
+// TestMemoContract pins the memo's remaining rules: each key is claimed
+// once, a filled entry wins over an expired context, and an import of a
+// known key — resolved or in flight — is a no-op.
+func TestMemoContract(t *testing.T) {
+	m := newMemo[int]("value")
+	e, claimed := m.claim("k")
+	if !claimed {
+		t.Fatal("first claim not granted")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, err := cache.scheme(ctx, "stuck-key", func() (*policy.Scheme, []byte, error) {
-		t.Error("second builder invoked for an in-flight key")
-		return nil, nil, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("waiting on a stuck scheme build: err = %v, want deadline exceeded", err)
+	if _, again := m.claim("k"); again {
+		t.Fatal("key claimed twice")
+	}
+	if m.put("k", 7) {
+		t.Fatal("import over an in-flight key installed a value")
+	}
+	e.fill(3, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, err := m.wait(ctx, e); v != 3 || err != nil {
+		t.Fatalf("filled entry under an expired context: %d, %v", v, err)
+	}
+	if m.put("k", 7) {
+		t.Fatal("import over a resolved key installed a value")
+	}
+	if !m.put("j", 5) {
+		t.Fatal("import of a new key was dropped")
+	}
+	if v, ok := m.get("j"); !ok || v != 5 {
+		t.Fatalf("imported value = %d, %v", v, ok)
+	}
+	if got := m.resolved(); len(got) != 2 || got["k"] != 3 || got["j"] != 5 {
+		t.Fatalf("resolved = %v", got)
+	}
+	if m.hits.Load() != 1 || m.misses.Load() != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1 (imports are not lookups)", m.hits.Load(), m.misses.Load())
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/fault"
+	"ctjam/internal/policy"
 )
 
 func engineTemplate() Config {
@@ -18,15 +18,6 @@ func engineTemplate() Config {
 	return cfg
 }
 
-func randomAgent(t testing.TB, cfg Config) env.Agent {
-	t.Helper()
-	a, err := core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 func runEngine(t testing.TB, clusters, workers, slots int, cfg Config) EngineStats {
 	t.Helper()
 	eng, err := NewEngine(EngineConfig{Clusters: clusters, Template: cfg, Workers: workers})
@@ -34,7 +25,7 @@ func runEngine(t testing.TB, clusters, workers, slots int, cfg Config) EngineSta
 		t.Fatal(err)
 	}
 	st, err := eng.Run(func(int) (env.Agent, error) {
-		return core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
+		return newBaseline(policy.BaselineRandom, cfg)
 	}, slots)
 	if err != nil {
 		t.Fatal(err)
@@ -74,42 +65,13 @@ func TestEngineSingleClusterMatchesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(randomAgent(t, cfg), 40)
+	want, err := sim.Run(baselineAgent(t, policy.BaselineRandom, cfg), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := runEngine(t, 1, 1, 40, cfg).RunStats()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("1-cluster engine RunStats = %+v, want Simulator %+v", got, want)
-	}
-}
-
-// TestEngineRunBatchMatchesRun checks the lockstep batched path resolves the
-// field bit-identically to the full-run-per-shard path when the batch plays
-// the same per-cluster policy.
-func TestEngineRunBatchMatchesRun(t *testing.T) {
-	cfg := engineTemplate()
-	const clusters, slots = 4, 30
-	want := runEngine(t, clusters, 2, slots, cfg)
-
-	eng, err := NewEngine(EngineConfig{Clusters: clusters, Template: cfg, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents := make([]env.Agent, clusters)
-	for i := range agents {
-		agents[i] = randomAgent(t, cfg)
-	}
-	batch, err := env.NewAgentBatch(agents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.RunBatch(batch, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RunBatch stats differ from Run stats")
 	}
 }
 
@@ -146,7 +108,7 @@ func TestEngineFaultStreamsScoped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(randomAgent(t, cfg), 40)
+	want, err := sim.Run(baselineAgent(t, policy.BaselineRandom, cfg), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,16 +149,9 @@ func TestEngineValidation(t *testing.T) {
 	if eng.Clusters() != 2 || eng.Nodes() != 2*cfg.Nodes {
 		t.Errorf("engine sized %d clusters / %d nodes", eng.Clusters(), eng.Nodes())
 	}
-	newAgent := func(int) (env.Agent, error) { return core.Static{}, nil }
+	newAgent := func(int) (env.Agent, error) { return newBaseline(policy.BaselineStatic, cfg) }
 	if _, err := eng.Run(newAgent, 0); err == nil {
 		t.Error("Run with 0 slots: expected error")
-	}
-	single, err := env.NewAgentBatch([]env.Agent{core.Static{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RunBatch(single, 10); err == nil {
-		t.Error("RunBatch with mis-sized batch: expected error")
 	}
 }
 
@@ -225,7 +180,7 @@ func BenchmarkFieldEngine(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st, err := eng.Run(func(int) (env.Agent, error) {
-					return core.NewRandomFH(tmpl.Channels, tmpl.SweepWidth, len(tmpl.TxPowers))
+					return newBaseline(policy.BaselineRandom, tmpl)
 				}, slots)
 				if err != nil {
 					b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"ctjam/internal/core"
 	"ctjam/internal/env"
 	"ctjam/internal/metrics"
+	"ctjam/internal/policy"
 )
 
 func noJammerConfig(slot time.Duration) Config {
@@ -29,11 +30,35 @@ func mdpAgent(t testing.TB, cfg Config) env.Agent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := core.NewMDPAgent(model, nil, cfg.Channels, cfg.SweepWidth)
+	s, err := core.MDPScheme(model, nil, cfg.Channels, cfg.SweepWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return agent
+	return s.NewAgent()
+}
+
+// baselineAgent builds a serial agent for one baseline tag on cfg's
+// topology.
+func baselineAgent(t testing.TB, tag string, cfg Config) env.Agent {
+	t.Helper()
+	a, err := newBaseline(tag, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+func newBaseline(tag string, cfg Config) (env.Agent, error) {
+	s, err := policy.Baseline(tag, cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
+	if err != nil {
+		return nil, err
+	}
+	return s.NewAgent(), nil
+}
+
+// static is the no-defense agent.
+func static(t testing.TB) env.Agent {
+	return baselineAgent(t, policy.BaselineStatic, DefaultConfig())
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -119,7 +144,7 @@ func TestUtilizationMatchesPaperFig10b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 200)
+		run, err := s.Run(static(t), 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +174,7 @@ func TestGoodputGrowsWithSlotDuration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 100)
+		run, err := s.Run(static(t), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +195,7 @@ func TestNoJammerMeansNoLosses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run(core.Static{}, 100)
+	run, err := s.Run(static(t), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +214,7 @@ func TestStaticVictimLosesMostPacketsUnderJamming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := s.Run(core.Static{}, 150)
+	run, err := s.Run(static(t), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,19 +237,13 @@ func TestSchemeOrderingGoodputFig11a(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := sNoJam.Run(core.Static{}, slots)
+	baseline, err := sNoJam.Run(static(t), slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	passive, err := core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := core.NewRandomFH(cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive, cfg)
+	random := baselineAgent(t, policy.BaselineRandom, cfg)
 	agents := []env.Agent{passive, random, mdpAgent(t, cfg)}
 	goodputs := make([]float64, len(agents))
 	for i, a := range agents {
@@ -307,7 +326,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(core.Static{}, 0); err == nil {
+	if _, err := s.Run(static(t), 0); err == nil {
 		t.Fatal("0 slots: expected error")
 	}
 }
@@ -323,10 +342,7 @@ func TestRunIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passive, err := core.NewPassiveFH(cfg.Channels, cfg.SweepWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	passive := baselineAgent(t, policy.BaselinePassive, cfg)
 	r1, err := s1.Run(passive, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +452,7 @@ func TestCSMAModeContentionCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := s.Run(core.Static{}, 60)
+		run, err := s.Run(static(t), 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"ctjam/internal/core"
 )
 
 func TestTimingValidateEdgeCases(t *testing.T) {
@@ -96,7 +94,7 @@ func TestOverheadExceedsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sim.Run(core.Static{}, 20)
+	run, err := sim.Run(static(t), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func TestDriftStretchedOverheadExceedsSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := sim.Run(core.Static{}, 20)
+	run, err := sim.Run(static(t), 20)
 	if err != nil {
 		t.Fatal(err)
 	}

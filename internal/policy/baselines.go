@@ -7,6 +7,39 @@ import (
 	"ctjam/internal/env"
 )
 
+// Baseline tags name the deterministic baseline schemes Baseline builds.
+// They are part of experiment cache keys and distributed unit keys, so they
+// must never be renamed.
+const (
+	// BaselinePassive is the paper's passive FH ("PSV FH").
+	BaselinePassive = "psv"
+	// BaselineRandom is the random FH baseline ("Rand FH").
+	BaselineRandom = "rand"
+	// BaselineStatic never hops and never raises power ("Static").
+	BaselineStatic = "static"
+)
+
+// DefaultJamThreshold is the number of consecutive jammed slots a passive
+// victim tolerates before its windowed error rate trips and it hops.
+const DefaultJamThreshold = 4
+
+// Baseline builds the deterministic baseline scheme named by tag for a
+// channels-channel system with the given jammer sweep width and power-level
+// count. Baselines carry no learned state, so every process rebuilds them
+// identically from the topology alone.
+func Baseline(tag string, channels, sweepWidth, powers int) (*Scheme, error) {
+	switch tag {
+	case BaselinePassive:
+		return PassiveFHScheme(channels, sweepWidth, DefaultJamThreshold)
+	case BaselineRandom:
+		return RandomFHScheme(channels, sweepWidth, powers)
+	case BaselineStatic:
+		return StaticScheme(), nil
+	default:
+		return nil, fmt.Errorf("policy: unknown baseline %q", tag)
+	}
+}
+
 // Baseline scheme actions. The passive scheme's action space is
 // {stay, hop}; the random and static schemes choose entirely in their
 // encoders (their policies are state-free passthroughs).

@@ -1,11 +1,6 @@
 // Package policy is the batched inference engine: it decouples anti-jamming
-// decision logic from the agents that train it.
-//
-// Historically each internal/core agent owned its decision rule — the DQN
-// agent held the live learner, the MDP agent a policy table, the baselines
-// their ad-hoc state machines — so every decision was a single-state call
-// welded to one mutable struct. This package inverts that ownership. A
-// decision rule is split into two halves:
+// decision logic from the learners that train it. A decision rule is split
+// into two halves:
 //
 //   - Policy: a pure, batched state→action function (DecideBatch). Policies
 //     hold only immutable data (a weight snapshot, a solved table), so one
@@ -16,11 +11,16 @@
 //     concrete channel/power decision (Decode).
 //
 // A Scheme pairs one shared Policy with an Encoder factory. Scheme.NewAgent
-// adapts it back to env.Agent for serial runs; Scheme.NewBatch steps K links
-// in lockstep, gathering all K encoded states into one network forward per
-// slot (see env.BatchRun / iot.BatchRun). Both adapters drive the same
-// Policy and Encoder code with the same per-link RNG streams, so batched
-// results are bit-identical to serial ones at any batch size.
+// adapts it back to env.Agent for serial runs (env.Run, the field engine's
+// clusters); Scheme.NewBatch steps K links in lockstep, gathering all K
+// encoded states into one network forward per slot (see env.BatchRun). Both
+// adapters drive the same Policy and Encoder code with the same per-link RNG
+// streams, so batched results are bit-identical to serial ones at any batch
+// size.
+//
+// Every scheme comes from one place: Baseline builds the passive, random
+// and static baselines by tag, and the trained or solved schemes come from
+// their learner's Scheme snapshot (internal/core) or a decoded checkpoint.
 package policy
 
 import (
@@ -149,7 +149,7 @@ func (b *Batch) DecideBatch(prev []env.SlotInfo, out []env.Decision) error {
 }
 
 // Agent adapts a Scheme to the serial env.Agent interface (a batch of one).
-// The internal/core agents are thin wrappers around this type.
+// Each Agent owns its encoder, so agents of one Scheme may run concurrently.
 type Agent struct {
 	scheme *Scheme
 	enc    Encoder
@@ -167,10 +167,6 @@ func (s *Scheme) NewAgent() *Agent {
 		state:  make([]float64, s.policy.StateDim()),
 	}
 }
-
-// Scheme returns the scheme the agent wraps (e.g. to build a Batch that
-// plays the same policy).
-func (a *Agent) Scheme() *Scheme { return a.scheme }
 
 // Name implements env.Agent.
 func (a *Agent) Name() string { return a.scheme.policy.Name() }

@@ -105,7 +105,9 @@ func TestCheckpointRotationAllCorrupt(t *testing.T) {
 }
 
 // TestEvaluateBatchMatchesSerial pins the facade's batched evaluation to the
-// serial Evaluate it replaces: same per-env seeds, same metrics, bitwise.
+// serial Evaluate it replaces: same per-env seeds, same metrics, bitwise. The
+// learned schemes (a small DQN and tabular Q-learning) are covered too, so
+// the serial path stays bit-identical to the batched snapshot path.
 func TestEvaluateBatchMatchesSerial(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
@@ -113,15 +115,19 @@ func TestEvaluateBatchMatchesSerial(t *testing.T) {
 		k     = 4
 		slots = 1500
 	)
-	mdpPolicy, err := SolveMDP(cfg)
-	if err != nil {
+	policies := map[Scheme]*Policy{}
+	var err error
+	if policies[SchemeMDP], err = SolveMDP(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []Scheme{SchemePassive, SchemeRandom, SchemeStatic, SchemeMDP} {
-		var pol *Policy
-		if scheme == SchemeMDP {
-			pol = mdpPolicy
-		}
+	if policies[SchemeRL], err = TrainDQN(cfg, 1500); err != nil {
+		t.Fatal(err)
+	}
+	if policies[SchemeQLearning], err = TrainQLearning(cfg, 3000); err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []Scheme{SchemePassive, SchemeRandom, SchemeStatic, SchemeMDP, SchemeRL, SchemeQLearning} {
+		pol := policies[scheme]
 		batch, err := EvaluateBatch(cfg, scheme, pol, k, slots)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)

@@ -45,9 +45,8 @@ go test -race -count=1 -run 'TestDistributed' ./internal/dist
 
 # The sharded field engine writes per-cluster results into index-addressed
 # slices from worker goroutines; its bit-identical-at-any-worker-count
-# guarantee must stay race-clean, for both the full-run-per-shard path and
-# the lockstep batched path.
-go test -race -count=1 -run 'TestFieldShardEquivalence|TestEngineRunBatchMatchesRun' ./internal/iot
+# guarantee must stay race-clean.
+go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
 
 # Benchmark smoke: one iteration of the headline cache benchmark, the
 # batched policy engine, and a short sustained-serve window, so the
