@@ -99,6 +99,17 @@ func TestGoldenFig11b(t *testing.T) {
 	checkGolden(t, "fig11b", res)
 }
 
+// TestGoldenTrain pins the DQN training pipeline end to end: the train id
+// runs core.DQNAgent online for TrainSlots slots, so its reward and post-
+// training ST move if a single bit of any trained weight does.
+func TestGoldenTrain(t *testing.T) {
+	res, err := Run("train", goldenOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "train", res)
+}
+
 func TestGoldenStealth(t *testing.T) {
 	res, err := Run("stealth", goldenOptions())
 	if err != nil {
