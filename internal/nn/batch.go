@@ -5,11 +5,12 @@ import "fmt"
 // Batched inference path. Forward (network.go) is the training path: each
 // layer caches its input for Backward and owns the scratch its output lives
 // in, so two goroutines can never share a network. ForwardBatch is the
-// read-only counterpart: it touches nothing but the layer weights, keeps all
-// intermediate activations in caller-supplied scratch, and computes the dense
-// products with a 4-row register-blocked kernel so one pass over the weight
-// matrix serves four samples. One network can therefore serve any number of
-// concurrent ForwardBatch callers, each with its own dst and scratch.
+// read-only counterpart: it touches nothing but the layer weights and keeps
+// all intermediate activations in caller-supplied scratch. Both compute the
+// dense products with the same row-blocked GEMM, matMulBatchInto, so one pass
+// over the weight matrix serves a block of samples. One network can
+// therefore serve any number of concurrent ForwardBatch callers, each with
+// its own dst and scratch.
 
 // InferScratch holds the intermediate activation buffers for ForwardBatch.
 // The zero value is ready to use; buffers grow on demand and are reused
@@ -24,10 +25,8 @@ type InferScratch struct {
 // on one network — each with its own dst and scratch — provided nothing is
 // training the network at the same time.
 //
-// Results are bit-identical to Forward on the same rows as long as the
-// weights and activations are finite (the kernels differ only in which exact
-// zero multiplications they skip, which is observable only with Inf/NaN
-// operands).
+// Results are bit-identical to Forward on the same batch: both run the same
+// kernels.
 func (n *Network) ForwardBatch(dst *Matrix, s *InferScratch, x *Matrix) error {
 	cur := x
 	bufs := [2]*Matrix{&s.a, &s.b}
@@ -69,14 +68,17 @@ func (n *Network) ForwardBatch(dst *Matrix, s *InferScratch, x *Matrix) error {
 	return nil
 }
 
-// matMulBatchInto computes a @ b into dst like MatMulInto, but processes four
-// rows of a at a time so each streamed row of b is loaded once per four
-// output rows and the inner loop keeps four independent accumulator streams
-// in flight. On amd64 with AVX the 4-row block is computed by block4AVX
-// (gemm_amd64.s), which additionally vectorizes four output columns per
-// instruction. Per-output-element accumulation still runs in ascending k with
-// a separate multiply and add rounding per step (the kernel never uses FMA),
-// so for finite operands the result is bit-identical to MatMulInto (the
+// matMulBatchInto computes a @ b into dst, reshaping dst (reusing its
+// backing array when large enough). It is the one production GEMM: the
+// training forward and backward passes and ForwardBatch all run on it. It
+// processes eight or four rows of a at a time so each streamed row of b is
+// loaded once per block of output rows and the inner loop keeps independent
+// accumulator streams in flight. On amd64 with AVX the blocks are computed
+// by block8AVX/block4AVX (gemm_amd64.s), which additionally vectorize four
+// output columns per instruction. Per-output-element accumulation runs in
+// ascending k from +0 with a separate multiply and add rounding per step
+// (never FMA: the scalar loops convert each product explicitly), so for
+// finite operands the result is bit-identical to the textbook ikj loop (the
 // single-row kernel skips every individual zero multiplicand, the blocked
 // paths do not — a difference observable only with Inf/NaN in b). dst must
 // not alias a or b.
@@ -124,10 +126,10 @@ func matMulBatchInto(dst, a, b *Matrix) error {
 			}
 			brow := b.Data[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				o0[j] += v0 * bv
-				o1[j] += v1 * bv
-				o2[j] += v2 * bv
-				o3[j] += v3 * bv
+				o0[j] += float64(v0 * bv)
+				o1[j] += float64(v1 * bv)
+				o2[j] += float64(v2 * bv)
+				o3[j] += float64(v3 * bv)
 			}
 		}
 	}
@@ -140,7 +142,7 @@ func matMulBatchInto(dst, a, b *Matrix) error {
 			}
 			brow := b.Data[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -204,7 +206,7 @@ func tailCols(dst, a, b *Matrix, i, rows, cols4 int) {
 			}
 			brow := b.Data[kk*n : (kk+1)*n]
 			for j := cols4; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}

@@ -46,3 +46,22 @@ func vecMaxZero(dst, src *float64, n4 int)
 //
 //go:noescape
 func vecAddRows(dst, row *float64, rows, stride, cols4 int)
+
+// adamAVX applies one Adam step to the first n4 (n4 %% 4 == 0, > 0) values
+// of a parameter tensor p with gradient grad and moments m, v, using the
+// coefficients in c. Every operation the scalar loop in adamUpdate performs
+// is one exactly rounded VMULPD, VADDPD, VSUBPD, VDIVPD or VSQRTPD here, in
+// the same order (never FMA), so the results are bit-identical.
+// Implemented in gemm_amd64.s.
+//
+//go:noescape
+func adamAVX(p, grad, m, v *float64, n4 int, c *adamCoef)
+
+// vecMaskPositive writes dst[i] = grad[i] where mask[i] > 0 and +0 elsewhere,
+// for i in [0, n4), n4 %% 4 == 0. An ordered greater-than VCMPPD against +0
+// yields all-ones or all-zeros per lane, and VANDPD with grad keeps its bits or
+// clears them: bit-identical to the scalar branch. Implemented in
+// gemm_amd64.s.
+//
+//go:noescape
+func vecMaskPositive(dst, grad, mask *float64, n4 int)

@@ -314,3 +314,82 @@ acloop:
 	JNZ  arloop
 	VZEROUPPER
 	RET
+
+// func adamAVX(p, grad, m, v *float64, n4 int, c *adamCoef)
+//
+// Four parameters per iteration; n4 % 4 == 0 and > 0. c points at the
+// adamCoef fields {scale, b1, c1, b2, c2, bc1, bc2, lr, eps}, broadcast into
+// Y7-Y15. Per element, in the scalar loop's order:
+//
+//	g' = g*scale
+//	m  = b1*m + c1*g'
+//	v  = b2*v + (c2*g')*g'
+//	p  = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+TEXT ·adamAVX(SB), NOSPLIT, $0-48
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ n4+32(FP), CX
+	MOVQ c+40(FP), AX
+	VBROADCASTSD 0(AX), Y7    // scale
+	VBROADCASTSD 8(AX), Y8    // b1
+	VBROADCASTSD 16(AX), Y9   // c1 = 1 - b1
+	VBROADCASTSD 24(AX), Y10  // b2
+	VBROADCASTSD 32(AX), Y11  // c2 = 1 - b2
+	VBROADCASTSD 40(AX), Y12  // bc1
+	VBROADCASTSD 48(AX), Y13  // bc2
+	VBROADCASTSD 56(AX), Y14  // lr
+	VBROADCASTSD 64(AX), Y15  // eps
+adamloop:
+	VMOVUPD (SI), Y0
+	VMULPD  Y7, Y0, Y0        // g' = g*scale
+	VMULPD  (R8), Y8, Y1      // b1*m
+	VMULPD  Y0, Y9, Y2        // c1*g'
+	VADDPD  Y2, Y1, Y1        // m
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y10, Y3     // b2*v
+	VMULPD  Y0, Y11, Y4       // c2*g'
+	VMULPD  Y0, Y4, Y4        // (c2*g')*g'
+	VADDPD  Y4, Y3, Y3        // v
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y12, Y1, Y1       // mhat = m/bc1
+	VDIVPD  Y13, Y3, Y3       // vhat = v/bc2
+	VSQRTPD Y3, Y3
+	VADDPD  Y15, Y3, Y3       // sqrt(vhat) + eps
+	VMULPD  Y14, Y1, Y1       // lr*mhat
+	VDIVPD  Y3, Y1, Y1        // (lr*mhat) / (sqrt(vhat) + eps)
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5        // p - step
+	VMOVUPD Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	SUBQ $4, CX
+	JNZ  adamloop
+	VZEROUPPER
+	RET
+
+// func vecMaskPositive(dst, grad, mask *float64, n4 int)
+//
+// dst[i] = mask[i] > 0 ? grad[i] : +0 for i in [0, n4), n4 % 4 == 0 and > 0.
+// Predicate 14 is GT_OS: false for NaN, like the scalar comparison.
+TEXT ·vecMaskPositive(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ mask+16(FP), BX
+	MOVQ n4+24(FP), CX
+	VXORPD Y2, Y2, Y2
+mploop:
+	VMOVUPD (BX), Y0
+	VCMPPD  $14, Y2, Y0, Y1   // mask > 0
+	VANDPD  (SI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  mploop
+	VZEROUPPER
+	RET

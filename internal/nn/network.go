@@ -50,7 +50,8 @@ type Dense struct {
 	out       *Matrix // forward output scratch
 	dW        *Matrix // weight-gradient scratch
 	dx        *Matrix // input-gradient scratch
-	nzK       []int   // nonzero-gradient column scratch
+	xT, wT    Matrix  // transposed GEMM operands
+	sp        sparseGrad
 }
 
 var _ Layer = (*Dense)(nil)
@@ -65,25 +66,36 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	}
 }
 
-// Forward computes x@W + b, caching x for the backward pass.
+// Forward computes x@W + b, caching x for the backward pass. It runs on the
+// same GEMM as ForwardBatch, so training and inference share one kernel.
 func (d *Dense) Forward(x *Matrix) (*Matrix, error) {
 	d.lastInput = x
 	d.out = grow(d.out, x.Rows, d.W.Value.Cols)
-	if err := MatMulInto(d.out, x, d.W.Value); err != nil {
+	if err := matMulBatchInto(d.out, x, d.W.Value); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
 	}
-	if err := d.out.AddRowVector(d.B.Value); err != nil {
+	if err := addRowVectorFast(d.out, d.B.Value); err != nil {
 		return nil, fmt.Errorf("dense forward: %w", err)
 	}
 	return d.out, nil
 }
 
-// Backward accumulates dW = x^T @ g and db = column sums of g, and returns
-// dx = g @ W^T. Both products are computed by fused kernels that index the
-// untransposed operands directly instead of materializing x^T / W^T; the
-// per-element accumulation order matches the naive transpose-then-multiply
-// formulation, so gradients are bit-for-bit unchanged.
+// Backward accumulates dW = x^T @ g and db = column sums of g into the
+// parameter gradients, and returns dx = g @ W^T.
 func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
+	return d.backward(gradOut, true)
+}
+
+// backward is Backward with the input gradient optional: the first layer of
+// a network has no upstream consumer for it.
+//
+// Every gradient element is a sum over ascending k that starts at +0 and
+// rounds each product and each add separately, exactly as the naive
+// transpose-then-multiply loops would. A gradient with few nonzeros (the
+// Q-learning loss has one per row, the taken action) runs on the sparse
+// kernels; any other runs dW and dx on the shared GEMM over transposed
+// operands. Which path runs never changes a bit (see DESIGN.md).
+func (d *Dense) backward(gradOut *Matrix, needDx bool) (*Matrix, error) {
 	if d.lastInput == nil {
 		return nil, fmt.Errorf("dense backward called before forward")
 	}
@@ -92,78 +104,47 @@ func (d *Dense) Backward(gradOut *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("dense backward: grad shape (%dx%d) vs input %d rows, %d out cols",
 			gradOut.Rows, gradOut.Cols, x.Rows, w.Cols)
 	}
-	in, out, batch := x.Cols, w.Cols, x.Rows
-
-	// dW[j] = sum_k x[k][j] * g[k]; computed into scratch first, then added,
-	// to preserve the Grad += (complete sum) accumulation semantics.
-	d.dW = grow(d.dW, in, out)
-	for i := range d.dW.Data {
-		d.dW.Data[i] = 0
+	if d.sp.gather(gradOut, len(gradOut.Data)/sparseDensity) {
+		d.sparseBackward(needDx)
+		return d.dx, nil
 	}
-	for j := 0; j < in; j++ {
-		dwRow := d.dW.Data[j*out : (j+1)*out]
-		for k := 0; k < batch; k++ {
-			av := x.Data[k*in+j]
-			if av == 0 {
-				continue
-			}
-			gRow := gradOut.Data[k*out : (k+1)*out]
-			for c, gv := range gRow {
-				dwRow[c] += av * gv
-			}
-		}
-	}
-	for i := range d.dW.Data {
-		d.W.Grad.Data[i] += d.dW.Data[i]
-	}
-
-	bGrad := d.B.Grad.Data
-	for i := 0; i < batch; i++ {
-		gRow := gradOut.Data[i*out : (i+1)*out]
-		for j, gv := range gRow {
-			bGrad[j] += gv
-		}
-	}
-
-	// dx[i][j] = sum_k g[i][k] * W[j][k]: a row of g dotted with a row of W,
-	// so both inner streams are contiguous. Q-learning loss gradients are
-	// mostly zero (one action per sample), so the nonzero columns of each
-	// gradient row are gathered once up front; summation still runs in
-	// ascending k, keeping results bit-identical to the dense dot.
-	d.dx = grow(d.dx, batch, in)
-	if cap(d.nzK) < out {
-		d.nzK = make([]int, 0, out)
-	}
-	for i := 0; i < batch; i++ {
-		gRow := gradOut.Data[i*out : (i+1)*out]
-		dxRow := d.dx.Data[i*in : (i+1)*in]
-		nz := d.nzK[:0]
-		for k, gv := range gRow {
-			if gv != 0 {
-				nz = append(nz, k)
-			}
-		}
-		if len(nz) == out {
-			for j := 0; j < in; j++ {
-				wRow := w.Data[j*out : (j+1)*out]
-				var acc float64
-				for k, gv := range gRow {
-					acc += gv * wRow[k]
-				}
-				dxRow[j] = acc
-			}
-			continue
-		}
-		for j := 0; j < in; j++ {
-			wRow := w.Data[j*out : (j+1)*out]
-			var acc float64
-			for _, k := range nz {
-				acc += gRow[k] * wRow[k]
-			}
-			dxRow[j] = acc
-		}
+	if err := d.denseBackward(gradOut, needDx); err != nil {
+		return nil, fmt.Errorf("dense backward: %w", err)
 	}
 	return d.dx, nil
+}
+
+// sparseBackward runs the backward products on the gradient entries
+// gathered into d.sp.
+func (d *Dense) sparseBackward(needDx bool) {
+	d.sp.weightGrad(d.W.Grad, d.lastInput)
+	d.sp.biasGrad(d.B.Grad.Data)
+	if needDx {
+		d.dx = grow(d.dx, d.lastInput.Rows, d.lastInput.Cols)
+		d.sp.inputGrad(d.dx, d.W.Value)
+	}
+}
+
+// denseBackward runs dW = x^T @ g and dx = g @ W^T on the shared GEMM over
+// transposed copies of x and W. dW is computed into scratch and then added,
+// keeping the Grad += (complete sum) accumulation semantics.
+func (d *Dense) denseBackward(gradOut *Matrix, needDx bool) error {
+	x, w := d.lastInput, d.W.Value
+	d.dW = grow(d.dW, x.Cols, w.Cols)
+	transposeInto(&d.xT, x)
+	if err := matMulBatchInto(d.dW, &d.xT, gradOut); err != nil {
+		return err
+	}
+	addInto(d.W.Grad.Data, d.dW.Data)
+	for i := 0; i < gradOut.Rows; i++ {
+		addInto(d.B.Grad.Data, gradOut.RowView(i))
+	}
+	if !needDx {
+		return nil
+	}
+	d.dx = grow(d.dx, x.Rows, x.Cols)
+	transposeInto(&d.wT, w)
+	return matMulBatchInto(d.dx, gradOut, &d.wT)
 }
 
 // Params returns the layer's weight and bias.
@@ -172,8 +153,7 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // ReLU is the rectified-linear activation. Like Dense, it reuses scratch
 // buffers, so returned matrices are valid only until its next call.
 type ReLU struct {
-	mask []bool
-	out  *Matrix // forward output scratch
+	out  *Matrix // forward output scratch; out > 0 is the backward mask
 	gout *Matrix // backward gradient scratch
 }
 
@@ -182,38 +162,19 @@ var _ Layer = (*ReLU)(nil)
 // Forward zeroes negative activations.
 func (r *ReLU) Forward(x *Matrix) (*Matrix, error) {
 	r.out = grow(r.out, x.Rows, x.Cols)
-	out := r.out
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range x.Data {
-		if v > 0 {
-			r.mask[i] = true
-			out.Data[i] = v
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
-	return out, nil
+	batchReLU(r.out.Data, x.Data)
+	return r.out, nil
 }
 
-// Backward gates the incoming gradient by the forward mask.
+// Backward gates the incoming gradient by the forward mask: an output is
+// positive exactly where its input was.
 func (r *ReLU) Backward(gradOut *Matrix) (*Matrix, error) {
-	if len(r.mask) != len(gradOut.Data) {
-		return nil, fmt.Errorf("relu backward: mask size %d vs grad %d", len(r.mask), len(gradOut.Data))
+	if r.out == nil || len(r.out.Data) != len(gradOut.Data) {
+		return nil, fmt.Errorf("relu backward: grad of %d values does not match the last forward", len(gradOut.Data))
 	}
 	r.gout = grow(r.gout, gradOut.Rows, gradOut.Cols)
-	out := r.gout
-	for i, v := range gradOut.Data {
-		if r.mask[i] {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	return out, nil
+	maskPositive(r.gout.Data, gradOut.Data, r.out.Data)
+	return r.gout, nil
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -264,12 +225,17 @@ func (n *Network) Forward(x *Matrix) (*Matrix, error) {
 }
 
 // Backward propagates the loss gradient through all layers, accumulating
-// parameter gradients.
+// parameter gradients. The gradient with respect to the network input is
+// never needed, so a leading Dense layer skips computing it.
 func (n *Network) Backward(gradOut *Matrix) error {
 	cur := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		var err error
-		cur, err = n.Layers[i].Backward(cur)
+		if d, ok := n.Layers[i].(*Dense); ok && i == 0 {
+			_, err = d.backward(cur, false)
+		} else {
+			cur, err = n.Layers[i].Backward(cur)
+		}
 		if err != nil {
 			return fmt.Errorf("layer %d: %w", i, err)
 		}
@@ -342,17 +308,34 @@ func (n *Network) CopyWeightsFrom(src *Network) error {
 // MSELoss returns the mean-squared-error 0.5*mean((pred-target)^2) and its
 // gradient with respect to pred.
 func MSELoss(pred, target *Matrix) (float64, *Matrix, error) {
+	grad := new(Matrix)
+	loss, err := MSELossInto(grad, pred, target)
+	if err != nil {
+		return 0, nil, err
+	}
+	return loss, grad, nil
+}
+
+// MSELossInto is MSELoss writing the gradient into grad, which is reshaped
+// to pred's shape (reusing its backing array when large enough).
+func MSELossInto(grad, pred, target *Matrix) (float64, error) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		return 0, nil, fmt.Errorf("nn: mse shape mismatch (%dx%d) vs (%dx%d)",
+		return 0, fmt.Errorf("nn: mse shape mismatch (%dx%d) vs (%dx%d)",
 			pred.Rows, pred.Cols, target.Rows, target.Cols)
 	}
-	grad := NewMatrix(pred.Rows, pred.Cols)
+	grad.Reshape(pred.Rows, pred.Cols)
 	var loss float64
 	n := float64(len(pred.Data))
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
+		if d == 0 {
+			// ±0/n is d itself, and its +0 loss term leaves loss (summed
+			// from +0, so never -0) unchanged: skip both divisions.
+			grad.Data[i] = d
+			continue
+		}
 		loss += 0.5 * d * d / n
 		grad.Data[i] = d / n
 	}
-	return loss, grad, nil
+	return loss, nil
 }

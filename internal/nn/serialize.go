@@ -150,17 +150,21 @@ func (o *Adam) SaveAdam(w io.Writer, params []*Param) error {
 	if err := write(uint32(len(params))); err != nil {
 		return err
 	}
-	for _, p := range params {
+	if o.m != nil {
+		if err := o.checkParams(params); err != nil {
+			return err
+		}
+	}
+	for pi, p := range params {
 		n := len(p.Value.Data)
 		if err := write(uint32(n)); err != nil {
 			return err
 		}
-		for _, moments := range [2]map[*Param][]float64{o.m, o.v} {
-			buf := moments[p] // nil before the first Step: encode zeros
+		for _, moments := range [2][][]float64{o.m, o.v} {
 			for i := 0; i < n; i++ {
-				var x float64
-				if buf != nil {
-					x = buf[i]
+				var x float64 // zero before the first Step
+				if moments != nil {
+					x = moments[pi][i]
 				}
 				if err := write(math.Float64bits(x)); err != nil {
 					return err
@@ -189,9 +193,9 @@ func (o *Adam) LoadAdam(r io.Reader, params []*Param) error {
 	if int(nParams) != len(params) {
 		return fmt.Errorf("%w: adam state has %d params, want %d", ErrBadModelFile, nParams, len(params))
 	}
-	m := make(map[*Param][]float64, len(params))
-	v := make(map[*Param][]float64, len(params))
-	for _, p := range params {
+	m := make([][]float64, len(params))
+	v := make([][]float64, len(params))
+	for pi, p := range params {
 		var n uint32
 		if err := read(&n); err != nil {
 			return fmt.Errorf("%w: adam moment size: %v", ErrBadModelFile, err)
@@ -199,7 +203,7 @@ func (o *Adam) LoadAdam(r io.Reader, params []*Param) error {
 		if int(n) != len(p.Value.Data) {
 			return fmt.Errorf("%w: adam moment has %d values, param has %d", ErrBadModelFile, n, len(p.Value.Data))
 		}
-		for _, dst := range [2]map[*Param][]float64{m, v} {
+		for _, dst := range [2][][]float64{m, v} {
 			buf := make([]float64, n)
 			for i := range buf {
 				var bits uint64
@@ -208,7 +212,7 @@ func (o *Adam) LoadAdam(r io.Reader, params []*Param) error {
 				}
 				buf[i] = math.Float64frombits(bits)
 			}
-			dst[p] = buf
+			dst[pi] = buf
 		}
 	}
 	o.step = int(step)

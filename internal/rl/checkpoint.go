@@ -143,9 +143,7 @@ func (d *DQN) LoadState(r io.Reader) error {
 	}
 
 	// All sections decoded: commit.
-	d.online = newOnline
-	d.target = newTarget
-	d.opt = opt
+	d.setNetworks(newOnline, newTarget, opt)
 	d.buffer.buf = buf
 	d.buffer.next = int(next)
 	d.buffer.full = full

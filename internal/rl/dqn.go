@@ -77,9 +77,13 @@ type DQN struct {
 
 	// Reusable buffers for the QValues / TrainStep hot paths.
 	stateBuf *nn.Matrix
-	states   *nn.Matrix
-	nexts    *nn.Matrix
+	states   nn.Matrix
+	nexts    nn.Matrix
+	tdTarget nn.Matrix
+	lossGrad nn.Matrix
+	batch    []Transition
 	nextSel  []int
+	params   []*nn.Param // online.Params(), refreshed with online
 }
 
 // NewDQN builds the learner.
@@ -111,29 +115,35 @@ func NewDQN(cfg DQNConfig) (*DQN, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DQN{
+	d := &DQN{
 		cfg:    cfg,
-		online: online,
-		target: target,
-		opt:    nn.NewAdam(cfg.LearningRate),
 		buffer: buffer,
 		rng:    random,
 		rngSrc: src,
-	}, nil
+	}
+	d.setNetworks(online, target, nn.NewAdam(cfg.LearningRate))
+	return d, nil
+}
+
+// setNetworks installs the online and target networks with the optimizer
+// state that belongs to the online one.
+func (d *DQN) setNetworks(online, target *nn.Network, opt *nn.Adam) {
+	d.online, d.target, d.opt = online, target, opt
+	d.params = online.Params()
 }
 
 // Network exposes the online network (e.g. for serialization).
 func (d *DQN) Network() *nn.Network { return d.online }
 
 // SetNetwork replaces the online and target networks (e.g. after loading a
-// saved model).
+// saved model) and restarts the optimizer: the old Adam moments and step
+// count describe the replaced weights, not these.
 func (d *DQN) SetNetwork(net *nn.Network) error {
 	clone, err := net.Clone()
 	if err != nil {
 		return err
 	}
-	d.online = net
-	d.target = clone
+	d.setNetworks(net, clone, nn.NewAdam(d.cfg.LearningRate))
 	return nil
 }
 
@@ -245,16 +255,15 @@ func (d *DQN) Observe(t Transition) (float64, error) {
 // target = r + gamma * max_a' Q_target(s', a') (or r for terminal
 // transitions); only the taken action's output receives gradient.
 func (d *DQN) TrainStep() (float64, error) {
-	batch, err := d.buffer.Sample(d.cfg.BatchSize, d.rng)
-	if err != nil {
+	if cap(d.batch) < d.cfg.BatchSize {
+		d.batch = make([]Transition, d.cfg.BatchSize)
+	}
+	batch := d.batch[:d.cfg.BatchSize]
+	if err := d.buffer.sampleInto(batch, d.rng); err != nil {
 		return 0, err
 	}
 	n := len(batch)
-	if d.states == nil {
-		d.states = nn.NewMatrix(n, d.cfg.StateDim)
-		d.nexts = nn.NewMatrix(n, d.cfg.StateDim)
-	}
-	states, nexts := d.states, d.nexts
+	states, nexts := &d.states, &d.nexts
 	states.Reshape(n, d.cfg.StateDim)
 	nexts.Reshape(n, d.cfg.StateDim)
 	for i, t := range batch {
@@ -291,7 +300,9 @@ func (d *DQN) TrainStep() (float64, error) {
 
 	// Build the TD targets; entries for non-taken actions copy the
 	// prediction so they contribute zero gradient.
-	target := pred.Clone()
+	target := &d.tdTarget
+	target.Reshape(pred.Rows, pred.Cols)
+	copy(target.Data, pred.Data)
 	for i, t := range batch {
 		y := t.Reward
 		if !t.Done {
@@ -311,15 +322,17 @@ func (d *DQN) TrainStep() (float64, error) {
 		target.Set(i, t.Action, y)
 	}
 
-	loss, grad, err := nn.MSELoss(pred, target)
+	loss, err := nn.MSELossInto(&d.lossGrad, pred, target)
 	if err != nil {
 		return 0, err
 	}
-	d.online.ZeroGrad()
-	if err := d.online.Backward(grad); err != nil {
+	for _, p := range d.params {
+		p.ZeroGrad()
+	}
+	if err := d.online.Backward(&d.lossGrad); err != nil {
 		return 0, err
 	}
-	if err := d.opt.Step(d.online.Params()); err != nil {
+	if err := d.opt.Step(d.params); err != nil {
 		return 0, err
 	}
 

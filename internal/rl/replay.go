@@ -58,15 +58,23 @@ func (b *ReplayBuffer) Push(t Transition) {
 // Sample draws n transitions uniformly at random with replacement. It
 // returns an error when the buffer is empty.
 func (b *ReplayBuffer) Sample(n int, rng *rand.Rand) ([]Transition, error) {
-	size := b.Len()
-	if size == 0 {
-		return nil, fmt.Errorf("rl: sampling from empty replay buffer")
-	}
 	out := make([]Transition, n)
-	for i := range out {
-		out[i] = b.buf[rng.Intn(size)]
+	if err := b.sampleInto(out, rng); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// sampleInto is Sample filling dst, drawing one index per element in order.
+func (b *ReplayBuffer) sampleInto(dst []Transition, rng *rand.Rand) error {
+	size := b.Len()
+	if size == 0 {
+		return fmt.Errorf("rl: sampling from empty replay buffer")
+	}
+	for i := range dst {
+		dst[i] = b.buf[rng.Intn(size)]
+	}
+	return nil
 }
 
 // EpsilonSchedule is a linear exploration-rate decay from Start to End over

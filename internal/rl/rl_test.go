@@ -1,10 +1,13 @@
 package rl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ctjam/internal/nn"
 )
 
 func TestReplayBufferValidation(t *testing.T) {
@@ -370,6 +373,50 @@ func TestSetNetworkSwapsModel(t *testing.T) {
 	for i := range q1 {
 		if q1[i] != q2[i] {
 			t.Fatal("SetNetwork did not adopt the new weights")
+		}
+	}
+}
+
+// TestSetNetworkResetsOptimizer: Adam state describes the weights it was
+// accumulated on. After SetNetwork the optimizer must be fresh — step count
+// 0, zero moments — so the first update is a first Adam step, bounded by the
+// learning rate per weight, not a bias-corrected step on stale moments
+// (about 3x the learning rate once the step count is large).
+func TestSetNetworkResetsOptimizer(t *testing.T) {
+	d := pinnedDQN(t, false, 16)
+	for i := 0; i < 1500; i++ {
+		if _, err := d.TrainStep(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := pinnedDQN(t, false, 16)
+	if err := d.SetNetwork(fresh.Network()); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := d.opt.SaveAdam(&got, d.online.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.NewAdam(d.cfg.LearningRate).SaveAdam(&want, d.online.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("SetNetwork kept the replaced network's Adam state")
+	}
+	before, err := d.online.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.TrainStep(); err != nil {
+		t.Fatal(err)
+	}
+	bound := d.cfg.LearningRate * (1 + 1e-9)
+	for pi, p := range d.online.Params() {
+		for i, v := range p.Value.Data {
+			if step := math.Abs(v - before.Params()[pi].Value.Data[i]); step > bound {
+				t.Fatalf("param %d[%d] moved %g on the first update after SetNetwork, Adam bounds it by lr=%g",
+					pi, i, step, d.cfg.LearningRate)
+			}
 		}
 	}
 }
