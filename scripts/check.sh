@@ -28,8 +28,13 @@ go test -race -count=1 ./cmd/ctjam-serve
 # including ones without AVX/FMA: run the inference packages with the asm
 # kernels compiled out (noasm) so the pure-Go fallbacks stay proven, and the
 # dual-engine equivalence suite under -race since fast snapshots serve many
-# goroutines from one immutable quantization.
+# goroutines from one immutable quantization. The same noasm leg proves the
+# training kernels: internal/nn's bitwise kernel tests and internal/rl's
+# pinned trained-weight digests (TestDQNTrainBitsPinned) must pass on the
+# pure-Go fallbacks, and so must every experiment golden, including the
+# train id's.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
+go test -count=1 -tags noasm -run 'TestGolden' ./internal/experiments
 go test -race -count=1 -run 'TestForwardBatch32|TestSnapshotFast32|TestEngine' ./internal/nn ./internal/rl ./internal/policy
 
 # The sweep-point cache shares memoized counters and trained schemes across
@@ -49,10 +54,12 @@ go test -race -count=1 -run 'TestDistributed' ./internal/dist
 go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
 
 # Benchmark smoke: one iteration of the headline cache benchmark, the
-# batched policy engine, and a short sustained-serve window, so the
-# committed BENCH numbers stay regenerable (full runs via scripts/bench.sh).
+# batched policy engine, the DQN train step, and a short sustained-serve
+# window, so the committed BENCH numbers stay regenerable (full runs via
+# scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
+go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 CTJAM_SERVE_BENCH_MS=200 go test -run '^$' -bench '^BenchmarkServeSustained$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
 
