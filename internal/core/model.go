@@ -46,13 +46,18 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: win probabilities (%d) must match tx powers (%d)",
 			len(p.WinProb), len(p.TxPowers))
 	}
+	for i, tx := range p.TxPowers {
+		if math.IsNaN(tx) || math.IsInf(tx, 0) {
+			return fmt.Errorf("core: tx power %v at level %d is not finite", tx, i)
+		}
+	}
 	for i, w := range p.WinProb {
-		if w < 0 || w > 1 {
+		if !(w >= 0 && w <= 1) {
 			return fmt.Errorf("core: win probability %v at level %d outside [0,1]", w, i)
 		}
 	}
-	if p.LossHop < 0 || p.LossJam < 0 {
-		return fmt.Errorf("core: losses must be non-negative")
+	if !(p.LossHop >= 0 && p.LossJam >= 0) || math.IsInf(p.LossHop, 1) || math.IsInf(p.LossJam, 1) {
+		return fmt.Errorf("core: losses must be finite and non-negative")
 	}
 	return nil
 }
@@ -196,14 +201,17 @@ func (m *Model) Transitions(state, action int) []mdp.Transition {
 	if !hop {
 		// Eq. (6)-(8): staying, the discovery hazard is 1/(S-n).
 		found := 1.0 / (s - n)
-		trs := []mdp.Transition{
+		if state+1 <= m.p.SweepCycle-2 {
+			return compact([]mdp.Transition{
+				{Next: state + 1, Prob: 1 - found},
+				{Next: tj, Prob: found * win},
+				{Next: j, Prob: found * lose},
+			})
+		}
+		return compact([]mdp.Transition{
 			{Next: tj, Prob: found * win},
 			{Next: j, Prob: found * lose},
-		}
-		if state+1 <= m.p.SweepCycle-2 {
-			trs = append(trs, mdp.Transition{Next: state + 1, Prob: 1 - found})
-		}
-		return compact(trs)
+		})
 	}
 	// Eq. (9)-(11): hopping to a new channel.
 	risk := (s - n - 1) / ((s - 1) * (s - n))
@@ -230,20 +238,14 @@ func (m *Model) Reward(state, action, next int) float64 {
 	return r
 }
 
-// compact drops zero-probability entries and merges duplicates so the
-// transition list is a clean distribution.
+// compact drops the zero-probability entries of a transition list so it is a
+// clean distribution. Every caller lists distinct next states in ascending
+// order, which the result keeps.
 func compact(trs []mdp.Transition) []mdp.Transition {
-	merged := make(map[int]float64, len(trs))
+	out := trs[:0]
 	for _, tr := range trs {
 		if tr.Prob > 0 {
-			merged[tr.Next] += tr.Prob
-		}
-	}
-	out := make([]mdp.Transition, 0, len(merged))
-	// Deterministic order: iterate possible states ascending.
-	for next := 0; len(out) < len(merged); next++ {
-		if p, ok := merged[next]; ok {
-			out = append(out, mdp.Transition{Next: next, Prob: p})
+			out = append(out, tr)
 		}
 	}
 	return out

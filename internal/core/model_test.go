@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,11 @@ func TestParamsValidate(t *testing.T) {
 		{"win prob mismatch", func(p *Params) { p.WinProb = p.WinProb[:3] }},
 		{"win prob > 1", func(p *Params) { p.WinProb[0] = 1.5 }},
 		{"negative loss", func(p *Params) { p.LossJam = -1 }},
+		{"NaN hop loss", func(p *Params) { p.LossHop = math.NaN() }},
+		{"infinite jam loss", func(p *Params) { p.LossJam = math.Inf(1) }},
+		{"NaN win prob", func(p *Params) { p.WinProb[2] = math.NaN() }},
+		{"infinite tx power", func(p *Params) { p.TxPowers[1] = math.Inf(1) }},
+		{"NaN tx power", func(p *Params) { p.TxPowers[0] = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -266,6 +272,36 @@ func TestExpectedStayRewardDecreasingInN(t *testing.T) {
 				t.Fatalf("power %d: E[U] increased from n=%d to n=%d", p, n-1, n)
 			}
 			prev = eu
+		}
+	}
+}
+
+// TestSolveRejectsNonFiniteLoss builds a model around a NaN hop loss,
+// bypassing NewModel's validation, and checks that the solver refuses it
+// instead of converging on a policy that silently never hops.
+func TestSolveRejectsNonFiniteLoss(t *testing.T) {
+	p := paperParams(jammer.ModeRandom)
+	p.LossHop = math.NaN()
+	if _, err := NewModel(p); err == nil {
+		t.Fatal("NewModel accepted a NaN hop loss")
+	}
+	m := &Model{p: p}
+	if _, err := m.Solve(0.9); !errors.Is(err, mdp.ErrBadTransition) {
+		t.Fatalf("Solve with a NaN hop loss: err = %v, want ErrBadTransition", err)
+	}
+}
+
+// BenchmarkModelSolve times one value-iteration solve of the paper's default
+// model at gamma = 0.9, the solve behind every RL FH sweep point.
+func BenchmarkModelSolve(b *testing.B) {
+	m, err := NewModel(ParamsFromEnv(env.DefaultConfig()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Solve(0.9); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"ctjam/internal/env"
@@ -65,7 +66,8 @@ func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 // matter which process re-serializes a checkpoint), and decoding must never
 // panic or over-allocate on hostile input.
 func FuzzSchemeRoundTrip(f *testing.F) {
-	for _, ck := range smallCheckpoints(f) {
+	cks := smallCheckpoints(f)
+	for _, ck := range cks {
 		data, err := ck.Encode()
 		if err != nil {
 			f.Fatal(err)
@@ -74,6 +76,9 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CTSC"))
+	// A NaN win probability: every comparison with NaN is false, so a
+	// range check alone lets it through.
+	f.Add(patchedMDPBlob(f, cks[2], 1, math.NaN()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeScheme(data)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -149,6 +152,47 @@ func TestDecodeSchemeRejects(t *testing.T) {
 	ck.Fast32 = true
 	if _, err := ck.Encode(); err == nil {
 		t.Error("fast32 mdp checkpoint encoded")
+	}
+}
+
+// patchedMDPBlob returns the CTSC encoding of an MDP checkpoint with one
+// float field overwritten by x: field 0 is the first tx power, field 1 the
+// first win probability and field 2 the hop loss. Encode refuses to emit
+// such streams, so only a hostile or corrupted peer can produce them.
+func patchedMDPBlob(t testing.TB, ck *SchemeCheckpoint, field int, x float64) []byte {
+	t.Helper()
+	data, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ck.Params.TxPowers)
+	loss := len(data) - 4*len(ck.Actions) - 16
+	off := [...]int{loss - 16*n, loss - 8*n, loss}[field]
+	binary.LittleEndian.PutUint64(data[off:], math.Float64bits(x))
+	return data
+}
+
+// TestDecodeSchemeRejectsNonFiniteParams checks that an MDP checkpoint whose
+// model parameters are not finite never decodes into a buildable scheme.
+func TestDecodeSchemeRejectsNonFiniteParams(t *testing.T) {
+	tests := []struct {
+		name  string
+		field int
+		x     float64
+	}{
+		{"NaN tx power", 0, math.NaN()},
+		{"infinite tx power", 0, math.Inf(1)},
+		{"NaN win prob", 1, math.NaN()},
+		{"NaN hop loss", 2, math.NaN()},
+		{"infinite hop loss", 2, math.Inf(1)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			blob := patchedMDPBlob(t, solvedCheckpoint(t), tt.field, tt.x)
+			if _, err := DecodeScheme(blob); !errors.Is(err, ErrBadScheme) {
+				t.Fatalf("err = %v, want ErrBadScheme", err)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ package env
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ctjam/internal/fault"
@@ -119,13 +120,20 @@ func (c Config) Validate() error {
 	if len(c.TxPowers) == 0 || len(c.JamPowers) == 0 {
 		return fmt.Errorf("env: power level lists must be non-empty")
 	}
+	for _, levels := range [][]float64{c.TxPowers, c.JamPowers} {
+		for _, p := range levels {
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				return fmt.Errorf("env: power level %v is not finite", p)
+			}
+		}
+	}
 	for i := 1; i < len(c.TxPowers); i++ {
 		if c.TxPowers[i] < c.TxPowers[i-1] {
 			return fmt.Errorf("env: tx powers must be non-decreasing")
 		}
 	}
-	if c.LossHop < 0 || c.LossJam < 0 {
-		return fmt.Errorf("env: losses must be non-negative")
+	if !(c.LossHop >= 0 && c.LossJam >= 0) || math.IsInf(c.LossHop, 1) || math.IsInf(c.LossJam, 1) {
+		return fmt.Errorf("env: losses must be finite and non-negative")
 	}
 	if c.JammerMode != jammer.ModeMax && c.JammerMode != jammer.ModeRandom {
 		return fmt.Errorf("env: unknown jammer mode %v", c.JammerMode)

@@ -38,6 +38,12 @@ func TestConfigValidation(t *testing.T) {
 		{"no jam powers", func(c *Config) { c.JamPowers = nil }},
 		{"descending tx powers", func(c *Config) { c.TxPowers = []float64{5, 3} }},
 		{"negative loss", func(c *Config) { c.LossHop = -1 }},
+		{"NaN hop loss", func(c *Config) { c.LossHop = math.NaN() }},
+		{"infinite jam loss", func(c *Config) { c.LossJam = math.Inf(1) }},
+		{"NaN tx power", func(c *Config) { c.TxPowers = []float64{6, math.NaN()} }},
+		{"infinite tx power", func(c *Config) { c.TxPowers = []float64{6, math.Inf(1)} }},
+		{"NaN jam power", func(c *Config) { c.JamPowers = []float64{math.NaN()} }},
+		{"infinite jam power", func(c *Config) { c.JamPowers = []float64{math.Inf(-1)} }},
 		{"bad mode", func(c *Config) { c.JammerMode = 0 }},
 	}
 	for _, tt := range tests {

@@ -54,10 +54,11 @@ go test -race -count=1 -run 'TestDistributed' ./internal/dist
 go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
 
 # Benchmark smoke: one iteration of the headline cache benchmark, the
-# batched policy engine, the DQN train step, and a short sustained-serve
-# window, so the committed BENCH numbers stay regenerable (full runs via
-# scripts/bench.sh).
+# tabulated MDP solve, the batched policy engine, the DQN train step, and a
+# short sustained-serve window, so the committed BENCH numbers stay
+# regenerable (full runs via scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkModelSolve$' -benchtime 1x ./internal/core
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
 go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 CTJAM_SERVE_BENCH_MS=200 go test -run '^$' -bench '^BenchmarkServeSustained$' -benchtime 1x ./internal/serve
