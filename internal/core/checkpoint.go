@@ -31,9 +31,9 @@ const (
 // Caps on the jammer-state encoding; real states are far smaller, so these
 // only bound what a corrupt stream can make us allocate.
 const (
-	maxJamKindLen  = 64
-	maxJamPayload  = 1 << 16
-	maxJamNesting  = 8
+	maxJamKindLen = 64
+	maxJamPayload = 1 << 16
+	maxJamNesting = 8
 )
 
 // writeJammerState encodes a jammer.State (recursively for wrappers).

@@ -28,6 +28,11 @@ import (
 // for every accepted stream, Encode(DecodeScheme(x)) == x byte for byte —
 // the round-trip contract FuzzSchemeRoundTrip pins — and a SHA-256
 // fingerprint of the bytes identifies the checkpoint content-addressably.
+//
+// Header byte 9, after the family byte, is reserved: it once flagged the
+// since-removed fast32 inference engine. Encode writes 0 there and
+// DecodeScheme rejects any other value, so exact checkpoints keep the bytes
+// and fingerprints they always had.
 
 const (
 	schemeMagic   = 0x43545343 // "CTSC"
@@ -73,9 +78,6 @@ type SchemeCheckpoint struct {
 	Family SchemeFamily
 	// Name is the scheme's display name ("RL FH", "MDP*", ...).
 	Name string
-	// Fast32 marks a DQN checkpoint whose scheme evaluates on the float32
-	// fast engine (the weights themselves always travel as float64).
-	Fast32 bool
 
 	// Channels is shared by both families; Powers/HistoryLen/Net belong to
 	// SchemeDQN, SweepWidth/Params/Actions to SchemeMDP.
@@ -99,14 +101,12 @@ func SchemeFingerprint(data []byte) string {
 }
 
 // SchemeCheckpoint captures the agent's trained network as a distributable
-// checkpoint. fast32 marks the checkpoint for the float32 fast inference
-// engine (the weights still travel exact). The checkpoint references the
-// live network, so encode it before any further training.
-func (a *DQNAgent) SchemeCheckpoint(fast32 bool) (*SchemeCheckpoint, error) {
+// checkpoint. The checkpoint references the live network, so encode it
+// before any further training.
+func (a *DQNAgent) SchemeCheckpoint() (*SchemeCheckpoint, error) {
 	return &SchemeCheckpoint{
 		Family:     SchemeDQN,
 		Name:       a.Name(),
-		Fast32:     fast32,
 		Channels:   a.cfg.Channels,
 		Powers:     a.cfg.Powers,
 		HistoryLen: a.cfg.HistoryLen,
@@ -170,9 +170,6 @@ func (c *SchemeCheckpoint) validate() error {
 				ErrBadScheme, first.W.Value.Rows, last.W.Value.Cols, c.HistoryLen, c.Channels, c.Powers)
 		}
 	case SchemeMDP:
-		if c.Fast32 {
-			return fmt.Errorf("%w: fast32 applies only to dqn checkpoints", ErrBadScheme)
-		}
 		if err := checkTopology(c.Channels, c.SweepWidth); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadScheme, err)
 		}
@@ -211,7 +208,7 @@ func (c *SchemeCheckpoint) Encode() ([]byte, error) {
 	w(uint32(schemeMagic))
 	w(uint32(schemeVersion))
 	w(uint8(c.Family))
-	w(boolByte(c.Fast32))
+	w(uint8(0)) // reserved
 	w(uint16(len(c.Name)))
 	buf.WriteString(c.Name)
 	w(uint32(c.Channels))
@@ -259,15 +256,15 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	if version != schemeVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadScheme, version)
 	}
-	var family, fast32 uint8
+	var family, reserved uint8
 	var nameLen uint16
-	for _, v := range []any{&family, &fast32, &nameLen} {
+	for _, v := range []any{&family, &reserved, &nameLen} {
 		if err := read(v); err != nil {
 			return nil, fmt.Errorf("%w: header: %v", ErrBadScheme, err)
 		}
 	}
-	if fast32 > 1 {
-		return nil, fmt.Errorf("%w: fast32 flag %d", ErrBadScheme, fast32)
+	if reserved != 0 {
+		return nil, fmt.Errorf("%w: reserved header byte %d", ErrBadScheme, reserved)
 	}
 	if nameLen > maxSchemeName {
 		return nil, fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadScheme, nameLen, maxSchemeName)
@@ -279,7 +276,6 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 	c := &SchemeCheckpoint{
 		Family: SchemeFamily(family),
 		Name:   string(name),
-		Fast32: fast32 == 1,
 	}
 	var channels uint32
 	if err := read(&channels); err != nil {
@@ -358,10 +354,10 @@ func DecodeScheme(data []byte) (*SchemeCheckpoint, error) {
 }
 
 // Scheme rebuilds the batched policy.Scheme the checkpoint describes. The
-// result is behaviorally identical — bit for bit on the exact engine — to
-// the scheme the original trainer held: weights and action tables travel as
-// exact float64 bits / integers, and the encoders are rebuilt from the same
-// topology fields.
+// result is behaviorally identical — bit for bit — to the scheme the
+// original trainer held: weights and action tables travel as exact float64
+// bits / integers, and the encoders are rebuilt from the same topology
+// fields.
 func (c *SchemeCheckpoint) Scheme() (*policy.Scheme, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -371,11 +367,6 @@ func (c *SchemeCheckpoint) Scheme() (*policy.Scheme, error) {
 		snap, err := rl.NewSnapshot(c.Net)
 		if err != nil {
 			return nil, err
-		}
-		if c.Fast32 {
-			if snap, err = snap.Fast32(); err != nil {
-				return nil, err
-			}
 		}
 		return policy.DQNScheme(c.Name, snap, c.Channels, c.Powers, c.HistoryLen)
 	case SchemeMDP:

@@ -10,8 +10,7 @@ import (
 )
 
 // smallCheckpoints builds one compact checkpoint per scheme family — a few
-// KB each, so the mutation engine iterates quickly — plus the fast32 variant
-// of the DQN one.
+// KB each, so the mutation engine iterates quickly.
 func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	cfg := env.Config{
 		Channels:   6,
@@ -39,12 +38,10 @@ func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	if _, err := agent.Train(e, 64); err != nil {
 		f.Fatal(err)
 	}
-	dqn, err := agent.SchemeCheckpoint(false)
+	dqn, err := agent.SchemeCheckpoint()
 	if err != nil {
 		f.Fatal(err)
 	}
-	fast := *dqn
-	fast.Fast32 = true
 	m, err := NewModel(ParamsFromEnv(cfg))
 	if err != nil {
 		f.Fatal(err)
@@ -57,7 +54,7 @@ func smallCheckpoints(f testing.TB) []*SchemeCheckpoint {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return []*SchemeCheckpoint{dqn, &fast, mdpCk}
+	return []*SchemeCheckpoint{dqn, mdpCk}
 }
 
 // FuzzSchemeRoundTrip pins the canonical-encoding contract of the CTSC wire
@@ -78,7 +75,14 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 	f.Add([]byte("CTSC"))
 	// A NaN win probability: every comparison with NaN is false, so a
 	// range check alone lets it through.
-	f.Add(patchedMDPBlob(f, cks[2], 1, math.NaN()))
+	f.Add(patchedMDPBlob(f, cks[1], 1, math.NaN()))
+	// The reserved header byte set on an otherwise valid DQN stream.
+	reserved, err := cks[0].Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	reserved[9] = 1
+	f.Add(reserved)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeScheme(data)
@@ -95,12 +99,8 @@ func FuzzSchemeRoundTrip(f *testing.F) {
 		if fp := SchemeFingerprint(enc); fp != SchemeFingerprint(data) {
 			t.Fatalf("fingerprint drifted across round trip: %s vs %s", fp, SchemeFingerprint(data))
 		}
-		// A decodable checkpoint must rebuild into a runnable scheme. The one
-		// carve-out is fast32: quantization rejects degenerate-but-loadable
-		// layer stacks (e.g. a ReLU before any dense layer) that the exact
-		// engine tolerates, so there a rebuild error is acceptable — but
-		// never a panic.
-		if _, err := ck.Scheme(); err != nil && !ck.Fast32 {
+		// A decodable checkpoint must rebuild into a runnable scheme.
+		if _, err := ck.Scheme(); err != nil {
 			t.Fatalf("decoded checkpoint fails to rebuild: %v", err)
 		}
 	})

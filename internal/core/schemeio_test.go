@@ -12,7 +12,7 @@ import (
 )
 
 // trainedCheckpoint builds a small trained DQN checkpoint for codec tests.
-func trainedCheckpoint(t testing.TB, fast32 bool) *SchemeCheckpoint {
+func trainedCheckpoint(t testing.TB) *SchemeCheckpoint {
 	t.Helper()
 	cfg := env.DefaultConfig()
 	acfg := DefaultDQNAgentConfig(cfg.Channels, len(cfg.TxPowers), cfg.SweepWidth)
@@ -28,7 +28,7 @@ func trainedCheckpoint(t testing.TB, fast32 bool) *SchemeCheckpoint {
 	if _, err := agent.Train(e, 300); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := agent.SchemeCheckpoint(fast32)
+	ck, err := agent.SchemeCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,8 @@ func solvedCheckpoint(t testing.TB) *SchemeCheckpoint {
 // and the rebuilt scheme makes the same decisions as the original.
 func TestSchemeCheckpointRoundTrip(t *testing.T) {
 	cases := map[string]*SchemeCheckpoint{
-		"dqn":        trainedCheckpoint(t, false),
-		"dqn-fast32": trainedCheckpoint(t, true),
-		"mdp":        solvedCheckpoint(t),
+		"dqn": trainedCheckpoint(t),
+		"mdp": solvedCheckpoint(t),
 	}
 	for name, ck := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -80,9 +79,9 @@ func TestSchemeCheckpointRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, again) {
 				t.Fatalf("re-encode differs: %d vs %d bytes", len(data), len(again))
 			}
-			if dec.Family != ck.Family || dec.Name != ck.Name || dec.Fast32 != ck.Fast32 {
-				t.Fatalf("decoded header %v/%q/%t, want %v/%q/%t",
-					dec.Family, dec.Name, dec.Fast32, ck.Family, ck.Name, ck.Fast32)
+			if dec.Family != ck.Family || dec.Name != ck.Name {
+				t.Fatalf("decoded header %v/%q, want %v/%q",
+					dec.Family, dec.Name, ck.Family, ck.Name)
 			}
 			want, err := ck.Scheme()
 			if err != nil {
@@ -148,10 +147,20 @@ func TestDecodeSchemeRejects(t *testing.T) {
 	if _, err := ck.Encode(); err == nil {
 		t.Error("out-of-range action encoded")
 	}
-	ck = solvedCheckpoint(t)
-	ck.Fast32 = true
-	if _, err := ck.Encode(); err == nil {
-		t.Error("fast32 mdp checkpoint encoded")
+	// Header byte 9 is reserved: Encode writes 0 and a set byte must not
+	// decode, for either family.
+	for name, ck := range map[string]*SchemeCheckpoint{"dqn": trainedCheckpoint(t), "mdp": solvedCheckpoint(t)} {
+		data, err := ck.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[9] != 0 {
+			t.Errorf("%s: reserved byte encoded as %d", name, data[9])
+		}
+		data[9] = 1
+		if _, err := DecodeScheme(data); !errors.Is(err, ErrBadScheme) {
+			t.Errorf("%s: reserved byte set: err = %v, want ErrBadScheme", name, err)
+		}
 	}
 }
 

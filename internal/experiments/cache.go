@@ -227,8 +227,8 @@ func (c *Cache) ImportPoint(key string, counters metrics.Counters) {
 // The defense tag joins the key only when it deviates from the default RL FH,
 // so every pre-matchup key stays byte-identical.
 func pointKey(o Options, p Point) string {
-	key := fmt.Sprintf("pt|%s|eng=%d|fast=%t|train=%d|seed=%d|slots=%d",
-		p.Config.Fingerprint(), int(o.Engine), o.Fast32, o.TrainSlots, o.Seed, o.Slots)
+	key := fmt.Sprintf("pt|%s|eng=%d|train=%d|seed=%d|slots=%d",
+		p.Config.Fingerprint(), int(o.Engine), o.TrainSlots, o.Seed, o.Slots)
 	if p.Defense != "" {
 		key += "|def=" + p.Defense
 	}
@@ -248,8 +248,8 @@ func schemeKey(o Options, p Point) string {
 	if p.Defense != "" {
 		return fmt.Sprintf("sc|def=%s|%s", p.Defense, cfg.Fingerprint())
 	}
-	return fmt.Sprintf("sc|%s|eng=%d|fast=%t|train=%d|seed=%d",
-		cfg.Fingerprint(), int(o.Engine), o.Fast32, o.TrainSlots, o.Seed)
+	return fmt.Sprintf("sc|%s|eng=%d|train=%d|seed=%d",
+		cfg.Fingerprint(), int(o.Engine), o.TrainSlots, o.Seed)
 }
 
 // schemeCheckpoint trains/solves the engine-selected scheme of the paper's
@@ -275,7 +275,7 @@ func schemeCheckpoint(o Options, cfg env.Config) (*core.SchemeCheckpoint, error)
 		if _, err := agent.Train(trainEnv, o.TrainSlots); err != nil {
 			return nil, err
 		}
-		return agent.SchemeCheckpoint(o.Fast32)
+		return agent.SchemeCheckpoint()
 	case EngineMDP:
 		model, err := core.NewModel(core.ParamsFromEnv(cfg))
 		if err != nil {

@@ -1,130 +1,68 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"ctjam/internal/env"
 	"ctjam/internal/policy"
-	"ctjam/internal/rl"
 )
 
-// Regression tests for the cache-key engine contract: the numeric engine
-// choice (MDP vs DQN, and exact vs fast32 inference) must be part of every
-// point and scheme fingerprint, so a fast-path evaluation can never be
-// served from — or poison — an exact-path cache entry.
+// Regression tests for the cache-key engine contract: the engine choice (MDP
+// vs DQN) must be part of every point, scheme and RL field fingerprint, so a
+// DQN result can never be served from — or poison — an MDP cache entry.
 
 func TestCacheKeysIncludeEngineChoice(t *testing.T) {
 	cfg := env.DefaultConfig()
-	base := cacheTestOptions()
-	base.Engine = EngineDQN
-
-	fast := base
-	fast.Fast32 = true
-
-	if pointKey(base, Point{Config: cfg}) == pointKey(fast, Point{Config: cfg}) {
-		t.Fatalf("point keys must differ by fast32 flag: %q", pointKey(base, Point{Config: cfg}))
-	}
-	if schemeKey(base, Point{Config: cfg}) == schemeKey(fast, Point{Config: cfg}) {
-		t.Fatalf("scheme keys must differ by fast32 flag: %q", schemeKey(base, Point{Config: cfg}))
-	}
-
-	mdp := base
+	dqn := cacheTestOptions()
+	dqn.Engine = EngineDQN
+	mdp := dqn
 	mdp.Engine = EngineMDP
-	if pointKey(base, Point{Config: cfg}) == pointKey(mdp, Point{Config: cfg}) {
-		t.Fatalf("point keys must differ by engine: %q", pointKey(base, Point{Config: cfg}))
+
+	if pointKey(dqn, Point{Config: cfg}) == pointKey(mdp, Point{Config: cfg}) {
+		t.Fatalf("point keys must differ by engine: %q", pointKey(dqn, Point{Config: cfg}))
+	}
+	if schemeKey(dqn, Point{Config: cfg}) == schemeKey(mdp, Point{Config: cfg}) {
+		t.Fatalf("scheme keys must differ by engine: %q", schemeKey(dqn, Point{Config: cfg}))
 	}
 
 	// A shared cache keeps the two engine variants as distinct entries.
 	c := NewCache()
-	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); !claimed {
-		t.Fatal("first exact-point claim should miss")
+	if _, claimed := c.points.claim(pointKey(dqn, Point{Config: cfg})); !claimed {
+		t.Fatal("first dqn-point claim should miss")
 	}
-	if _, claimed := c.points.claim(pointKey(fast, Point{Config: cfg})); !claimed {
-		t.Fatal("fast32 point must not be served from the exact entry")
+	if _, claimed := c.points.claim(pointKey(mdp, Point{Config: cfg})); !claimed {
+		t.Fatal("mdp point must not be served from the dqn entry")
 	}
-	if _, claimed := c.points.claim(pointKey(base, Point{Config: cfg})); claimed {
-		t.Fatal("repeat exact-point claim should hit")
-	}
-}
-
-// TestFast32NormalizedForNonDQN pins the withFloor canonicalization: Fast32
-// only affects DQN inference, so for other engines the flag is stripped
-// before it can split identical computations into distinct cache entries.
-func TestFast32NormalizedForNonDQN(t *testing.T) {
-	cfg := env.DefaultConfig()
-	o := cacheTestOptions() // EngineMDP
-	o.Fast32 = true
-	of := o.withFloor()
-	if of.Fast32 {
-		t.Fatal("withFloor must clear Fast32 for non-DQN engines")
-	}
-	o2 := cacheTestOptions()
-	if pointKey(of, Point{Config: cfg}) != pointKey(o2.withFloor(), Point{Config: cfg}) {
-		t.Fatal("MDP point keys must be identical regardless of the fast32 flag")
-	}
-
-	dqn := cacheTestOptions()
-	dqn.Engine = EngineDQN
-	dqn.Fast32 = true
-	if !dqn.withFloor().Fast32 {
-		t.Fatal("withFloor must keep Fast32 for EngineDQN")
+	if _, claimed := c.points.claim(pointKey(dqn, Point{Config: cfg})); claimed {
+		t.Fatal("repeat dqn-point claim should hit")
 	}
 }
 
-// TestPointKeyCarriesFast32Tag guards the wire contract: distributed workers
-// recompute PointKey from decoded payloads and compare strings, so the tag's
-// presence (not just key inequality) is what version drift trips over.
-func TestPointKeyCarriesFast32Tag(t *testing.T) {
-	cfg := env.DefaultConfig()
-	o := cacheTestOptions()
-	o.Engine = EngineDQN
-	o.Fast32 = true
-	key := PointKey(o, Point{Config: cfg})
-	if !strings.Contains(key, "fast=true") {
-		t.Fatalf("point key %q does not carry the fast32 tag", key)
-	}
-	o.Fast32 = false
-	if !strings.Contains(PointKey(o, Point{Config: cfg}), "fast=false") {
-		t.Fatalf("point key %q does not carry the fast32 tag", PointKey(o, Point{Config: cfg}))
-	}
-}
-
-// TestFieldRLSchemeHonoursFast32 pins the field RL scheme to the sweep
-// points' checkpoint path: a DQN RL field spec under Fast32 — which its
-// field key already records — plays the float32 engine, and the exact
-// engine otherwise.
-func TestFieldRLSchemeHonoursFast32(t *testing.T) {
+// TestFieldRLSchemeDQN pins the field RL scheme to the sweep points'
+// checkpoint path under EngineDQN: its field key records the engine, the
+// clusters play the trained DQN policy, and the run completes.
+func TestFieldRLSchemeDQN(t *testing.T) {
 	spec := FieldSpec{
 		Scheme: FieldSchemeRL, Jammer: true, Clusters: 2, Nodes: 3,
 		SlotDuration: time.Second, JammerSlot: time.Second, Seed: 1, Slots: 20,
 	}
-	for _, fast := range []bool{false, true} {
-		o := cacheTestOptions()
-		o.Engine = EngineDQN
-		o.TrainSlots = 300
-		o.Fast32 = fast
-		if got := fieldKey(o, spec); strings.Contains(got, "fast=true") != fast {
-			t.Fatalf("fast32=%t: field key %q", fast, got)
-		}
-		sch, err := fieldScheme(o, spec, fieldConfig(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dqn, ok := sch.Policy().(*policy.DQN)
-		if !ok {
-			t.Fatalf("fast32=%t: field RL policy is %T, want *policy.DQN", fast, sch.Policy())
-		}
-		want := rl.EngineExact
-		if fast {
-			want = rl.EngineFast32
-		}
-		if dqn.Engine() != want {
-			t.Errorf("fast32=%t: field RL scheme runs engine %v, want %v", fast, dqn.Engine(), want)
-		}
-		if _, err := computeFieldSpec(o, spec); err != nil {
-			t.Fatalf("fast32=%t: %v", fast, err)
-		}
+	o := cacheTestOptions()
+	o.Engine = EngineDQN
+	o.TrainSlots = 300
+	mdp := o
+	mdp.Engine = EngineMDP
+	if fieldKey(o, spec) == fieldKey(mdp, spec) {
+		t.Fatalf("RL field keys must differ by engine: %q", fieldKey(o, spec))
+	}
+	sch, err := fieldScheme(o, spec, fieldConfig(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sch.Policy().(*policy.DQN); !ok {
+		t.Fatalf("field RL policy is %T, want *policy.DQN", sch.Policy())
+	}
+	if _, err := computeFieldSpec(o, spec); err != nil {
+		t.Fatal(err)
 	}
 }

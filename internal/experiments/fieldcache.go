@@ -55,13 +55,13 @@ type FieldSpec struct {
 // seed; for the other schemes those fields are zeroed so an irrelevant flag
 // cannot split the cache.
 func fieldKey(o Options, s FieldSpec) string {
-	eng, fast, train, oseed := 0, false, 0, int64(0)
+	eng, train, oseed := 0, 0, int64(0)
 	if s.Scheme == FieldSchemeRL {
-		eng, fast, train, oseed = int(o.Engine), o.Fast32, o.TrainSlots, o.Seed
+		eng, train, oseed = int(o.Engine), o.TrainSlots, o.Seed
 	}
-	return fmt.Sprintf("fd|sch=%s|jam=%t|cl=%d|n=%d|slot=%d|jslot=%d|seed=%d|slots=%d|eng=%d|fast=%t|train=%d|oseed=%d",
+	return fmt.Sprintf("fd|sch=%s|jam=%t|cl=%d|n=%d|slot=%d|jslot=%d|seed=%d|slots=%d|eng=%d|train=%d|oseed=%d",
 		s.Scheme, s.Jammer, s.Clusters, s.Nodes, int64(s.SlotDuration), int64(s.JammerSlot),
-		s.Seed, s.Slots, eng, fast, train, oseed)
+		s.Seed, s.Slots, eng, train, oseed)
 }
 
 // FieldKey returns the canonical cache key of one field run under o,
@@ -111,8 +111,8 @@ func fieldConfig(s FieldSpec) iot.Config {
 // fieldScheme builds the scheme a spec's clusters play: a baseline from its
 // tag, or the engine-selected RL FH trained (or solved) once for the field's
 // channel layout — the same construction and checkpoint round trip as a
-// sweep point's scheme, so Fast32 applies. It is built outside Cache.scheme,
-// so field runs never count toward SchemeBuilds.
+// sweep point's scheme. It is built outside Cache.scheme, so field runs never
+// count toward SchemeBuilds.
 func fieldScheme(o Options, s FieldSpec, cfg iot.Config) (*policy.Scheme, error) {
 	if s.Scheme != FieldSchemeRL {
 		return policy.Baseline(s.Scheme, cfg.Channels, cfg.SweepWidth, len(cfg.TxPowers))

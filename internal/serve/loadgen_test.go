@@ -2,9 +2,34 @@ package serve
 
 import (
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 )
+
+// newTwoModelServer serves two checkpoints, "prod" (the default) and
+// "canary", so tests exercise both the default and the named routes.
+func newTwoModelServer(t testing.TB) *Server {
+	t.Helper()
+	dir := t.TempDir()
+	prod := filepath.Join(dir, "prod.ctdq")
+	canary := filepath.Join(dir, "canary.ctdq")
+	writeLearnerFile(t, prod, 11)
+	writeLearnerFile(t, canary, 12)
+	srv, err := New(Config{
+		Models: []ModelSpec{
+			{Name: "prod", Path: prod},
+			{Name: "canary", Path: canary},
+		},
+		Batching: true,
+		MaxBatch: 8,
+		Window:   100 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
 
 func TestRunLoadRejectsBadConfig(t *testing.T) {
 	bad := []LoadConfig{
@@ -22,14 +47,14 @@ func TestRunLoadRejectsBadConfig(t *testing.T) {
 }
 
 // TestRunLoadModes drives the generator briefly against a live server in both
-// modes, on both engines: every decision must succeed and be counted.
+// modes, on both models: every decision must succeed and be counted.
 func TestRunLoadModes(t *testing.T) {
-	srv := newDualEngineServer(t)
+	srv := newTwoModelServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	for _, mode := range []string{"http", "session"} {
-		for _, model := range []string{"", "fast"} {
+		for _, model := range []string{"", "canary"} {
 			res, err := RunLoad(LoadConfig{
 				BaseURL:  ts.URL,
 				Model:    model,
@@ -61,7 +86,7 @@ func TestRunLoadModes(t *testing.T) {
 // TestRunLoadReportsClientErrors points the generator at a model the server
 // does not have: clients must fail and be counted, not hang or panic.
 func TestRunLoadReportsClientErrors(t *testing.T) {
-	srv := newDualEngineServer(t)
+	srv := newTwoModelServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -86,8 +111,8 @@ func TestRunLoadReportsClientErrors(t *testing.T) {
 }
 
 func TestServerReloadAll(t *testing.T) {
-	srv := newDualEngineServer(t)
-	before := srv.Registry().Lookup("fast").Reloads()
+	srv := newTwoModelServer(t)
+	before := srv.Registry().Lookup("canary").Reloads()
 	if err := srv.ReloadAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -347,7 +347,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		models = append(models, map[string]any{
 			"name":        name,
 			"path":        m.Path(),
-			"engine":      m.Engine(),
 			"default":     name == s.reg.Default().Name(),
 			"state_dim":   pol.StateDim(),
 			"num_actions": pol.NumActions(),
@@ -385,7 +384,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		flushes := st.FlushFull.Load() + st.FlushWindow.Load()
 		models[name] = map[string]any{
 			"path":              m.Path(),
-			"engine":            m.Engine(),
 			"reloads":           m.Reloads(),
 			"requests":          st.Requests.Load(),
 			"states_served":     st.States.Load(),

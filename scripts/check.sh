@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gate: vet, build, run the whole test suite under the
+# Full verification gate: gofmt, vet, build, run the whole test suite under the
 # race detector, smoke the fuzz targets, and enforce a coverage floor on the
 # PHY and learner packages. The parallel execution engine (internal/parallel
 # and its users in internal/experiments) writes results into shared slices
@@ -8,6 +8,15 @@
 set -eux
 
 cd "$(dirname "$0")/.."
+
+# Formatting gate over the tracked Go files only, so build and benchmark
+# scratch directories (e.g. .bench_build) are never walked.
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:"
+	echo "$unformatted"
+	exit 1
+fi
 
 go vet ./...
 go build ./...
@@ -24,18 +33,14 @@ go test -race -count=1 -run 'TestSnapshot' ./internal/rl
 go test -race -count=1 ./internal/serve
 go test -race -count=1 ./cmd/ctjam-serve
 
-# The float32 fast path must agree with the exact engine on every machine,
-# including ones without AVX/FMA: run the inference packages with the asm
-# kernels compiled out (noasm) so the pure-Go fallbacks stay proven, and the
-# dual-engine equivalence suite under -race since fast snapshots serve many
-# goroutines from one immutable quantization. The same noasm leg proves the
-# training kernels: internal/nn's bitwise kernel tests and internal/rl's
-# pinned trained-weight digests (TestDQNTrainBitsPinned) must pass on the
-# pure-Go fallbacks, and so must every experiment golden, including the
-# train id's.
+# The exact engine must give the same bits on every machine, including ones
+# without AVX: run the inference and training packages with the asm kernels
+# compiled out (noasm), so internal/nn's bitwise kernel tests, internal/rl's
+# pinned trained-weight digests (TestDQNTrainBitsPinned) and every
+# experiment golden, including the train id's, pass on the pure-Go
+# fallbacks too.
 go test -count=1 -tags noasm ./internal/nn ./internal/rl ./internal/policy
 go test -count=1 -tags noasm -run 'TestGolden' ./internal/experiments
-go test -race -count=1 -run 'TestForwardBatch32|TestSnapshotFast32|TestEngine' ./internal/nn ./internal/rl ./internal/policy
 
 # The sweep-point cache shares memoized counters and trained schemes across
 # concurrent experiment runs; its claim/wait protocol must stay race-clean
@@ -94,7 +99,7 @@ go test -cover ./internal/phy/... ./internal/rl ./internal/experiments ./interna
 '
 
 # Higher floors for the inference hot path: internal/nn carries the asm
-# kernels and their equivalence harness (>=80%), internal/serve the
+# kernels and their bitwise equivalence tests (>=80%), internal/serve the
 # production decision surface (>=75%), internal/iot the sharded field
 # engine whose determinism guarantees every committed field number (>=75%),
 # and internal/jammer the adversary zoo whose strategies feed every cache
