@@ -187,6 +187,12 @@ type Environment struct {
 	channel int
 	slot    int
 	started bool
+
+	// flt is the fault injectors' per-slot scratch. Apply writes through a
+	// pointer behind an interface, so a Step-local Slot would escape and
+	// cost one heap allocation per slot; the field lives with the
+	// Environment instead and is zeroed before every Apply.
+	flt fault.Slot
 }
 
 // New builds an Environment.
@@ -249,11 +255,11 @@ func (e *Environment) Step(channel, power int) (StepResult, error) {
 	// Capture whether the jammer was focused on the victim's previous
 	// block before it reacts, to attribute useful hops. Focus generalizes
 	// the sweeper's lock to the whole strategy zoo.
+	// The geometry was validated in New and e.channel is always in range,
+	// so the victim's previous block is a plain division.
 	lockedOnOld := false
-	if block, ok := e.jam.Focus(); ok {
-		if oldBlock, err := jammer.BlockIndex(e.cfg.Channels, e.cfg.SweepWidth, oldChannel); err == nil && block == oldBlock {
-			lockedOnOld = true
-		}
+	if block, ok := e.jam.Focus(); ok && block == oldChannel/e.cfg.SweepWidth {
+		lockedOnOld = true
 	}
 
 	jammed, jamPower, err := e.jam.Step(channel)
@@ -267,7 +273,9 @@ func (e *Environment) Step(channel, power int) (StepResult, error) {
 	// jammed one from the hub's side, so it degrades the outcome to J.
 	var flt fault.Slot
 	if e.cfg.Faults != nil {
-		e.cfg.Faults.Apply(int64(e.slot), &flt)
+		e.flt = fault.Slot{}
+		e.cfg.Faults.Apply(int64(e.slot), &e.flt)
+		flt = e.flt
 	}
 	interference := 0.0
 	if jammed {

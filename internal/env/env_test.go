@@ -351,20 +351,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkEnvironmentStep(b *testing.B) {
-	e, err := New(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Step(i%16, i%10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestRunTraceMatchesCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 23

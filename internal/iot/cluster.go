@@ -68,6 +68,11 @@ type cluster struct {
 	pktIdx       int64
 	symScratch   []uint8
 	byteScratch  []byte
+
+	// flt is the fault injectors' per-slot scratch, zeroed before every
+	// Apply; like env.Environment's, it keeps the slot's fault.Slot off the
+	// heap (Apply takes a pointer through an interface).
+	flt fault.Slot
 }
 
 // newCluster validates cfg and builds a ready-to-run cluster.
@@ -194,7 +199,9 @@ func (c *cluster) runSlot(channel, power int, hopped bool) (SlotStats, error) {
 	// ACK loss voids the slot's deliveries.
 	var flt fault.Slot
 	if c.cfg.Faults != nil {
-		c.cfg.Faults.Apply(int64(c.slotIdx), &flt)
+		c.flt = fault.Slot{}
+		c.cfg.Faults.Apply(int64(c.slotIdx), &c.flt)
+		flt = c.flt
 	}
 	drift := 1 + flt.ClockDrift
 	if drift < 0.5 {

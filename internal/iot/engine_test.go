@@ -177,6 +177,7 @@ func BenchmarkFieldEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 			const slots = 5
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st, err := eng.Run(func(int) (env.Agent, error) {

@@ -109,17 +109,6 @@ func (g geom) BlockOf(channel int) (int, error) {
 	return channel / g.width, nil
 }
 
-// BlockIndex returns the block covering channel in a channels/width geometry,
-// for callers (environments, field clusters) that need the victim-side view
-// of the block layout without holding a strategy.
-func BlockIndex(channels, width, channel int) (int, error) {
-	g, err := newGeom(channels, width)
-	if err != nil {
-		return 0, err
-	}
-	return g.BlockOf(channel)
-}
-
 // emitter draws the per-slot jamming power according to the power mode. The
 // ModeMax level is hoisted to construction so a jammed slot costs no scan
 // over the power table.

@@ -58,16 +58,24 @@ go test -race -count=1 -run 'TestDistributed' ./internal/dist
 # guarantee must stay race-clean.
 go test -race -count=1 -run 'TestFieldShardEquivalence' ./internal/iot
 
+# The slot loops allocate nothing per slot: env.Step, one env.BatchRun slot
+# and one field-cluster slot, each with and without fault injection. The
+# -race run above includes these gates; run them again outside the race
+# runtime, with -count=1 so a cached pass never stands in for them.
+go test -count=1 -run 'NoAllocs' ./internal/env ./internal/iot ./internal/jammer
+
 # Benchmark smoke: one iteration of the headline cache benchmark, the
-# tabulated MDP solve, the batched policy engine, the DQN train step, and a
-# short sustained-serve window, so the committed BENCH numbers stay
-# regenerable (full runs via scripts/bench.sh).
+# tabulated MDP solve, the batched policy engine, the DQN train step, a
+# short sustained-serve window, the field engine and the environment step
+# (plain and faulted), so the committed BENCH numbers stay regenerable (full
+# runs via scripts/bench.sh).
 go test -run '^$' -bench '^BenchmarkAllSweeps$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkModelSolve$' -benchtime 1x ./internal/core
 go test -run '^$' -bench '^BenchmarkPolicyBatch$' -benchtime 1x ./internal/policy
 go test -run '^$' -bench '^BenchmarkDQNTrainStep$' -benchtime 1x ./internal/rl
 CTJAM_SERVE_BENCH_MS=200 go test -run '^$' -bench '^BenchmarkServeSustained$' -benchtime 1x ./internal/serve
 go test -run '^$' -bench '^BenchmarkFieldEngine/nodes-1e3$' -benchtime 1x ./internal/iot
+go test -run '^$' -bench '^BenchmarkEnvironmentStep$' -benchtime 1x ./internal/env
 
 # Fuzz smoke: a few seconds per target catches shallow panics and keeps the
 # committed corpora replaying. Override the budget with CHECK_FUZZTIME
